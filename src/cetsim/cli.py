@@ -216,8 +216,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         out_dir=out_dir,
         formats=args.format,
     )
-    dataset = sweep.run_sweep(spec)
     plots = args.plot.split(",") if args.plot else None
+    for token in plots or ():
+        outputs.parse_plot_token(token)
+    dataset = sweep.run_sweep(spec)
     formats = args.format if args.plot is None else tuple({*args.format, "svg"})
     # keep format order deterministic
     formats = tuple(f for f in ("csv", "json", "svg") if f in formats)
@@ -252,10 +254,11 @@ def _cmd_noise_study(args: argparse.Namespace) -> int:
     )
     rho_rec = noise.recover(rho_noisy, lam)
 
-    populations = {
-        "ideal": np.real(np.diag(rho_clean.matrix)),
-        "noisy": np.real(np.diag(rho_noisy.matrix)),
-        "recovered": np.real(np.diag(rho_rec.matrix)),
+    readouts = {
+        stage: reconstruct.diagonal_readout(np.real(np.diag(rho.matrix)))
+        for stage, rho in (
+            ("ideal", rho_clean), ("noisy", rho_noisy), ("recovered", rho_rec)
+        )
     }
     report = {
         "params": {"beta": args.beta, "h": args.h, "J": args.J},
@@ -281,10 +284,7 @@ def _cmd_noise_study(args: argparse.Namespace) -> int:
         },
         "recovered_physical": rho_rec.is_physical,
         "observables": {
-            label: {
-                stage: float(np.dot(_label_signs(label), pops))
-                for stage, pops in populations.items()
-            }
+            label: {stage: ms.value(label).real for stage, ms in readouts.items()}
             for label in reconstruct.LABELS
         },
     }
@@ -297,18 +297,6 @@ def _cmd_noise_study(args: argparse.Namespace) -> int:
             fh.write(text + "\n")
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
-
-
-def _label_signs(label: str) -> np.ndarray:
-    from .pauli import PauliString
-
-    string = PauliString.parse(label, 3)
-    z = model.spin_values(3)
-    signs = np.ones(8)
-    for site, letter in enumerate(string.letters):
-        if letter == "Z":
-            signs = signs * z[:, site]
-    return signs
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:

@@ -10,6 +10,8 @@ Readout of an operator U on a prepared state |psi> goes through an
 ancilla probe: the register is driven to (|0>|psi> + |1> U|psi>)/sqrt(2)
 and <U> is read off the probe's coherence, <U> = 2 <0-block|1-block>.
 For Hermitian U this equals the ordinary expectation <psi|U|psi>.
+The pipeline reads diagonal strings from populations instead; the probe
+is its cross-check and the path for off-diagonal operators.
 """
 
 from __future__ import annotations
@@ -136,6 +138,23 @@ class ProbeReadout:
         return self.value.imag
 
 
+def sample_shots(value: complex, shots: int, seed: int | None) -> complex:
+    """Finite-sample estimate of a probe coherence `value`.
+
+    The real and imaginary parts are replaced by the means of `shots`
+    probe X and Y readings, drawn binomially from a generator seeded
+    with `seed`.
+    """
+    if shots < 1:
+        raise DomainError(f"shots must be >= 1, got {shots}")
+    rng = np.random.default_rng(seed)
+    p_x = min(max(0.5 * (1.0 + value.real), 0.0), 1.0)
+    p_y = min(max(0.5 * (1.0 + value.imag), 0.0), 1.0)
+    re = 2.0 * rng.binomial(shots, p_x) / shots - 1.0
+    im = 2.0 * rng.binomial(shots, p_y) / shots - 1.0
+    return complex(re, im)
+
+
 def probe_expectation(
     params: model.ModelParams,
     op: PauliString,
@@ -146,9 +165,8 @@ def probe_expectation(
 
     Synthesises the preparation circuit with the probe prepended, applies
     the operator controlled on the probe, and reads <U> from the probe
-    coherence.  With `shots` set, the real and imaginary parts are
-    replaced by finite-sample estimates of the probe's X and Y readings
-    drawn from a seeded generator.
+    coherence.  With `shots` set, the value is replaced by its
+    finite-sample estimate from `sample_shots`.
     """
     if op.num_qubits != params.n:
         raise DomainError(
@@ -170,13 +188,6 @@ def probe_expectation(
         raise NumericError(f"probe coherence {value!r} exceeds unit magnitude")
     metadata: dict[str, float] | None = None
     if shots is not None:
-        if shots < 1:
-            raise DomainError(f"shots must be >= 1, got {shots}")
-        rng = np.random.default_rng(seed)
-        p_x = min(max(0.5 * (1.0 + value.real), 0.0), 1.0)
-        p_y = min(max(0.5 * (1.0 + value.imag), 0.0), 1.0)
-        re = 2.0 * rng.binomial(shots, p_x) / shots - 1.0
-        im = 2.0 * rng.binomial(shots, p_y) / shots - 1.0
-        value = complex(re, im)
+        value = sample_shots(value, shots, seed)
         metadata = {"shots": float(shots)}
     return ProbeReadout(value=value, label=op.label(), metadata=metadata)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import entr, logsumexp
 
 from .errors import DomainError, NumericError, TopologyError
 
@@ -63,28 +62,19 @@ class ModelParams:
             raise DomainError(f"n must be >= 1, got {self.n}")
         if self.topology == TRIANGLE and self.n != 3:
             raise TopologyError("triangle topology requires n = 3")
+        # every exponent beta * E_k must be a finite float; |E_k| is at most
+        # (|J| + |h|) n.  Python floats overflow to inf without a warning.
+        beta, J, h = float(self.beta), float(self.J), float(self.h)
+        if not math.isfinite(beta * ((abs(J) + abs(h)) * self.n)):
+            raise DomainError(
+                f"beta * energy overflows at beta={beta!r}, J={J!r}, h={h!r}"
+            )
 
     def bonds(self) -> tuple[tuple[int, int], ...]:
         """Interaction pairs of the cluster."""
         if self.topology == TRIANGLE:
             return ((0, 1), (1, 2), (0, 2))
         return tuple((i, i + 1) for i in range(self.n - 1))
-
-
-@dataclass(frozen=True)
-class SpinConfig:
-    """One classical configuration, identified by its index in 0..2**n - 1."""
-
-    index: int
-
-    def bits(self, n: int) -> tuple[int, ...]:
-        if not 0 <= self.index < 2**n:
-            raise DomainError(f"index {self.index} out of range for n = {n}")
-        return tuple((self.index >> (n - 1 - i)) & 1 for i in range(n))
-
-    def z_values(self, n: int) -> tuple[int, ...]:
-        """Spin values z_i = +1 (bit 0) or -1 (bit 1), spin 0 first."""
-        return tuple(1 - 2 * b for b in self.bits(n))
 
 
 @lru_cache(maxsize=64)
@@ -107,19 +97,27 @@ def energy_table(params: ModelParams) -> np.ndarray:
     return e
 
 
-def energy(config: SpinConfig, params: ModelParams) -> float:
-    """Energy of a single configuration."""
-    z = config.z_values(params.n)
-    bond = sum(z[i] * z[j] for i, j in params.bonds())
-    return params.J * bond + params.h * sum(z)
+def _normalize_log_weights(
+    log_w: np.ndarray, axis: int = -1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised exp(log_w) along `axis`, and the log of its normaliser.
+
+    The maximum is subtracted before exponentiating and the weights are
+    divided by their sum, so they sum to one to rounding at any scale of
+    log_w; log Z = max + log(sum) is returned alongside.
+    """
+    top = log_w.max(axis=axis, keepdims=True)
+    w = np.exp(log_w - top)
+    total = w.sum(axis=axis, keepdims=True)
+    return w / total, np.squeeze(top + np.log(total), axis=axis)
 
 
 @dataclass(frozen=True)
 class GibbsTable:
     """Gibbs distribution of one parameter point.
 
-    weights sum to one; log_partition is log Z evaluated with logsumexp,
-    so the table stays finite at any beta >= 0.
+    weights sum to one; log_partition is log Z evaluated in the log
+    domain, so the table stays finite at any beta >= 0.
     """
 
     params: ModelParams
@@ -129,21 +127,17 @@ class GibbsTable:
 
     def __post_init__(self) -> None:
         total = float(self.weights.sum())
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:
             raise NumericError(f"Gibbs weights sum to {total}, expected 1")
-
-    @property
-    def partition_function(self) -> float:
-        return math.exp(self.log_partition)
 
 
 def gibbs_distribution(params: ModelParams) -> GibbsTable:
     """Exact Gibbs weights exp(-beta * E_k) / Z for every configuration."""
     e = energy_table(params)
-    log_w = -params.beta * e
-    log_z = float(logsumexp(log_w))
-    weights = np.exp(log_w - log_z)
-    return GibbsTable(params=params, energies=e, weights=weights, log_partition=log_z)
+    weights, log_z = _normalize_log_weights(-params.beta * e)
+    return GibbsTable(
+        params=params, energies=e, weights=weights, log_partition=float(log_z)
+    )
 
 
 def cets_amplitudes(params: ModelParams) -> np.ndarray:
@@ -175,9 +169,14 @@ def exact_expectation(params: ModelParams, op) -> complex:
     return complex(np.vdot(psi, op.apply(psi)))
 
 
+def shannon_entropy(p: np.ndarray) -> float:
+    """-sum p ln p over non-negative populations, with 0 ln 0 = 0."""
+    return float(-(p * np.log(np.where(p > 0.0, p, 1.0))).sum())
+
+
 def exact_entropy(params: ModelParams) -> float:
     """Shannon entropy -sum p ln p of the Gibbs distribution (units of k_B)."""
-    return float(entr(gibbs_distribution(params).weights).sum())
+    return shannon_entropy(gibbs_distribution(params).weights)
 
 
 @dataclass(frozen=True)
@@ -198,9 +197,12 @@ class ChainConditionals:
 
     def weight(self, index: int) -> float:
         """Gibbs probability of one configuration via the chain rule."""
-        bits = SpinConfig(index).bits(self.n)
+        n = self.n
+        if not 0 <= index < 1 << n:
+            raise DomainError(f"index {index} out of range for n = {n}")
+        bits = [(index >> (n - 1 - i)) & 1 for i in range(n)]
         p = self.table[0, 0, bits[0]]
-        for i in range(1, self.n):
+        for i in range(1, n):
             p *= self.table[i, bits[i - 1], bits[i]]
         return float(p)
 
@@ -223,17 +225,13 @@ def chain_conditionals(params: ModelParams) -> ChainConditionals:
 
     log_r = np.zeros((n, 2))
     for i in range(n - 2, -1, -1):
-        log_r[i] = logsumexp(log_t + log_r[i + 1][None, :], axis=1)
+        log_r[i] = _normalize_log_weights(log_t + log_r[i + 1][None, :], axis=1)[1]
 
     table = np.empty((n, 2, 2))
-    log_m = log_f + log_r[0]
-    table[0, 0] = table[0, 1] = np.exp(log_m - logsumexp(log_m))
+    table[0, 0] = table[0, 1] = _normalize_log_weights(log_f + log_r[0])[0]
     for i in range(1, n):
-        cond = log_t + log_r[i][None, :] - logsumexp(
-            log_t + log_r[i][None, :], axis=1, keepdims=True
-        )
-        table[i] = np.exp(cond)
+        table[i] = _normalize_log_weights(log_t + log_r[i][None, :], axis=1)[0]
 
-    if np.any(np.abs(table.sum(axis=2) - 1.0) > _WEIGHT_SUM_TOL):
+    if not np.all(np.abs(table.sum(axis=2) - 1.0) <= _WEIGHT_SUM_TOL):
         raise NumericError("chain conditionals do not normalise")
     return ChainConditionals(params=params, table=table)

@@ -184,11 +184,11 @@ class DecayProfile:
     t1: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:
             raise DomainError(f"duration must be >= 0, got {self.tau}")
-        if self.t2 <= 0.0:
+        if not self.t2 > 0.0:
             raise DomainError(f"T2 must be > 0, got {self.t2}")
-        if self.t1 is not None and self.t1 <= 0.0:
+        if self.t1 is not None and not self.t1 > 0.0:
             raise DomainError(f"T1 must be > 0, got {self.t1}")
 
     @property
@@ -241,26 +241,34 @@ def load_decay_table(path) -> dict[str, DecayProfile]:
     """Read a decay table from JSON.
 
     Accepts {"label": tau} with optional top-level "t2"/"t1" keys, or
-    {"label": {"tau": ..., "t2": ..., "t1": ...}} for full control.
+    {"label": {"tau": ..., "t2": ..., "t1": ...}} for full control.  Any
+    other shape, a missing "tau" or a non-numeric value is a DomainError.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise DomainError("decay table must be a JSON object")
-    default_t2 = float(raw.pop("t2", DEFAULT_T2))
-    default_t1 = raw.pop("t1", None)
-    default_t1 = float(default_t1) if default_t1 is not None else None
-    table: dict[str, DecayProfile] = {}
-    for label, entry in raw.items():
-        if isinstance(entry, dict):
-            t1 = entry.get("t1", default_t1)
-            table[label] = DecayProfile(
-                tau=float(entry["tau"]),
-                t2=float(entry.get("t2", default_t2)),
-                t1=float(t1) if t1 is not None else None,
-            )
-        else:
-            table[label] = DecayProfile(tau=float(entry), t2=default_t2, t1=default_t1)
+    try:
+        default_t2 = float(raw.pop("t2", DEFAULT_T2))
+        default_t1 = raw.pop("t1", None)
+        default_t1 = float(default_t1) if default_t1 is not None else None
+        table: dict[str, DecayProfile] = {}
+        for label, entry in raw.items():
+            if isinstance(entry, dict):
+                t1 = entry.get("t1", default_t1)
+                table[label] = DecayProfile(
+                    tau=float(entry["tau"]),
+                    t2=float(entry.get("t2", default_t2)),
+                    t1=float(t1) if t1 is not None else None,
+                )
+            else:
+                table[label] = DecayProfile(
+                    tau=float(entry), t2=default_t2, t1=default_t1
+                )
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed decay table {path}: {exc!r}") from None
     return table
 
 

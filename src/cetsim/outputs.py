@@ -311,26 +311,34 @@ def write_heatmap(
         fh.write(_svg_document(width, height, body))
 
 
+def parse_plot_token(token: str) -> tuple[str, str]:
+    """Split a plot token such as "M-vs-h" or "S-heatmap" into (quantity, kind)."""
+    for kind in ("-vs-h", "-heatmap"):
+        if token.endswith(kind):
+            quantity = token[: -len(kind)]
+            if quantity not in _QUANTITIES:
+                raise DomainError(f"unknown plot quantity {quantity!r}")
+            return quantity, kind
+    raise DomainError(f"unknown plot token {token!r}")
+
+
 def _plot_files(
     dataset: sweep_mod.SweepDataset, plots: Sequence[str], out_dir: str
 ) -> list[str]:
     written = []
     provenances = dataset.rows[0].provenances
     for token in plots:
-        if token.endswith("-vs-h"):
-            quantity = token[: -len("-vs-h")]
+        quantity, kind = parse_plot_token(token)
+        if kind == "-vs-h":
             path = os.path.join(out_dir, f"line_{quantity}_vs_h.svg")
             write_line_plot(dataset, quantity, path)
             written.append(path)
-        elif token.endswith("-heatmap"):
-            quantity = token[: -len("-heatmap")]
+        else:
             for provenance in provenances:
                 suffix = provenance.replace("simulated-", "")
                 path = os.path.join(out_dir, f"heatmap_{quantity}_{suffix}.svg")
                 write_heatmap(dataset, quantity, provenance, path)
                 written.append(path)
-        else:
-            raise DomainError(f"unknown plot token {token!r}")
     return written
 
 

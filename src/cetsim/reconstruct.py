@@ -6,6 +6,9 @@ determine the eight diagonal entries of a three-spin density matrix:
     p_k = (1 + sum_i <Z_i> z_i(k) + sum_{i<j} <Z_i Z_j> z_i z_j
              + <Z1 Z2 Z3> z_1 z_2 z_3) / 8.
 
+One sign table serves both directions: the readout of a population
+vector is SIGNS.T @ p, and reconstruction is p = (1 + SIGNS @ v) / 8.
+
 Probe readouts are complex; reconstruction uses the real parts and
 tracks the imaginary residuals, flagging any observable whose residual
 exceeds 11 percent of its magnitude.
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import entr
 
 from . import model
 from .engine import ProbeReadout
@@ -37,6 +39,14 @@ _SITES = {
     "Z1Z3": (0, 2),
     "Z1Z2Z3": (0, 1, 2),
 }
+
+#: (8, 7) sign of each readout label (columns, in LABELS order) on each
+#: configuration (rows).
+SIGNS = np.stack(
+    [np.prod(model.spin_values(3)[:, list(_SITES[label])], axis=1) for label in LABELS],
+    axis=1,
+)
+SIGNS.setflags(write=False)
 
 IMAG_FLAG_FRACTION = 0.11
 
@@ -124,7 +134,7 @@ class DiagonalDensity:
         if self.populations.shape != (8,):
             raise DomainError("diagonal density needs exactly 8 populations")
         total = float(self.populations.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise DomainError(f"populations sum to {total}, expected 1")
 
     @property
@@ -135,11 +145,10 @@ class DiagonalDensity:
         return DensityMatrix.from_populations(self.populations)
 
 
-def _sign_table() -> np.ndarray:
-    """(8, 7) signs of each observable on each configuration."""
-    z = model.spin_values(3)
-    columns = [np.prod(z[:, list(sites)], axis=1) for sites in _SITES.values()]
-    return np.stack(columns, axis=1)
+def diagonal_readout(populations: np.ndarray) -> MeasurementSet:
+    """The seven diagonal expectations of a population vector, SIGNS.T @ p."""
+    values = SIGNS.T @ populations
+    return MeasurementSet(values={lbl: complex(v) for lbl, v in zip(LABELS, values)})
 
 
 def assemble_density(
@@ -150,8 +159,7 @@ def assemble_density(
     The inversion is linear and exact; negative populations are kept
     as-is so the caller can see non-physical reconstructions.
     """
-    signs = _sign_table()
-    populations = (1.0 + signs @ measurements.real_vector()) / 8.0
+    populations = (1.0 + SIGNS @ measurements.real_vector()) / 8.0
     return DiagonalDensity(populations=populations, provenance=provenance)
 
 
@@ -173,7 +181,7 @@ def entropy(density: DiagonalDensity, policy: str = "strict") -> float:
         p, _ = clip_to_simplex(p)
     else:
         raise DomainError(f"unknown entropy policy {policy!r}")
-    return float(entr(p).sum())
+    return model.shannon_entropy(p)
 
 
 def fidelity(a, b) -> float:

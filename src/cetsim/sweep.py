@@ -1,7 +1,7 @@
 """Phase-diagram sweeps: synthesise, simulate, measure, reconstruct.
 
-Each grid point runs the full pipeline: build the preparation circuit,
-read all seven diagonal observables through the probe, optionally apply
+Each grid point runs the full pipeline: prepare the state once, read
+all seven diagonal observables from its populations, optionally apply
 a noise model and its partial reversal, and reconstruct populations,
 scalar observables and entropy for every provenance stage.
 """
@@ -18,15 +18,8 @@ from typing import Mapping
 import numpy as np
 
 from . import engine, model, reconstruct, synth
-from .errors import DomainError, IncompleteSetError
-from .noise import (
-    DecayProfile,
-    DensityMatrix,
-    anisotropy_split,
-    depolarize,
-    estimate_eta,
-)
-from .pauli import PauliString
+from .errors import DomainError, IncompleteSetError, NumericError, TopologyError
+from .noise import DecayProfile, anisotropy_split
 
 PROVENANCE_IDEAL = "ideal"
 PROVENANCE_NOISY = "simulated-noisy"
@@ -110,17 +103,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A full sweep request.
-
-    `observables` must cover the whole diagonal readout set (all seven
-    are needed to reconstruct populations); the field exists so callers
-    can fix a non-default ordering for raw exports.
-    """
+    """A full sweep request."""
 
     betas: tuple[float, ...]
     fields: tuple[float, ...]
     J: float = 1.0
-    observables: tuple[str, ...] = reconstruct.LABELS
     noise: NoiseOptions | None = None
     parallelism: int = 1
     seed: int | None = None
@@ -132,10 +119,6 @@ class SweepSpec:
             raise DomainError("sweep grids must be non-empty")
         if self.parallelism < 1:
             raise DomainError(f"parallelism must be >= 1, got {self.parallelism}")
-        if set(self.observables) != set(reconstruct.LABELS):
-            raise IncompleteSetError(
-                "observables must cover the full diagonal readout set"
-            )
         for fmt in self.formats:
             if fmt not in ("csv", "json", "svg"):
                 raise DomainError(f"unknown output format {fmt!r}")
@@ -167,17 +150,17 @@ def _stage_result(
     )
 
 
-def _auto_lambda(params: model.ModelParams, noise: NoiseOptions) -> float:
+def _auto_lambda(noise: NoiseOptions) -> float:
     """Estimated recovery factor for the active noise model.
 
-    Depolarisation: sqrt(Tr rho_eps^2) of the simulated noisy state.
+    Depolarisation: sqrt(Tr rho_eps^2) of the depolarised prepared state,
+    which for a pure state of dimension D is sqrt(eta^2 (1 - 1/D) + 1/D).
     Per-observable decay: the isotropic component exp(-mean rate), with
     the residuals left to the caller via anisotropy_split.
     """
     if noise.eta is not None:
-        state = engine.run_circuit(synth.build_circuit(params))
-        rho = depolarize(DensityMatrix.from_state(state), noise.eta)
-        return estimate_eta(rho, mode="approx")
+        d = len(reconstruct.SIGNS)
+        return math.sqrt(noise.eta**2 * (1.0 - 1.0 / d) + 1.0 / d)
     rates = {
         label: -math.log(noise.decay[label].factor) for label in reconstruct.LABELS
     }
@@ -187,33 +170,37 @@ def _auto_lambda(params: model.ModelParams, noise: NoiseOptions) -> float:
 def run_point(
     params: model.ModelParams,
     noise: NoiseOptions | None = None,
-    observables: tuple[str, ...] = reconstruct.LABELS,
     shots: int | None = None,
     seed: int | None = None,
 ) -> SweepRow:
     """Run the full pipeline at a single parameter point.
 
-    With `shots` the probe readouts are finite-sample estimates; each
-    observable draws from its own stream derived from `seed`.
+    The preparation circuit runs once and every diagonal readout is read
+    from its populations; on a longer chain they are those of the first
+    three spins.  With `shots` the readouts are finite-sample estimates;
+    the readout at position `index` of LABELS draws from the stream
+    `seed + index`, as probe_expectation would.
     """
+    if params.n < 3:
+        raise TopologyError(f"the readout set needs 3 spins, model has {params.n}")
     table = model.gibbs_distribution(params)
-    readouts = [
-        engine.probe_expectation(
-            params,
-            PauliString.parse(label, params.n),
-            shots=shots,
-            seed=None if seed is None else seed + index,
-        )
-        for index, label in enumerate(observables)
-    ]
+    state = engine.run_circuit(synth.build_circuit(params))
+    norm = state.norm()
+    if not abs(norm - 1.0) <= 1e-9:
+        raise NumericError(f"prepared state norm is {norm}, expected 1")
+    populations = state.probabilities().reshape(8, -1).sum(axis=1)
+    values = reconstruct.diagonal_readout(populations).values
+    if shots is not None:
+        values = {
+            label: engine.sample_shots(
+                values[label], shots, None if seed is None else seed + index
+            )
+            for index, label in enumerate(reconstruct.LABELS)
+        }
     durations = None
     if noise is not None and noise.decay is not None:
-        durations = {
-            label: noise.decay[label].tau
-            for label in observables
-            if label in noise.decay
-        }
-    ideal = reconstruct.MeasurementSet.from_readouts(readouts, durations=durations)
+        durations = {label: noise.decay[label].tau for label in reconstruct.LABELS}
+    ideal = reconstruct.MeasurementSet(values=values, durations=durations)
     results = [_stage_result(PROVENANCE_IDEAL, ideal, entropy_policy="strict")]
 
     if noise is not None and noise.active:
@@ -225,7 +212,7 @@ def run_point(
         results.append(_stage_result(PROVENANCE_NOISY, noisy_ms, entropy_policy="clamp"))
         if noise.recover is not None:
             lam = (
-                _auto_lambda(params, noise)
+                _auto_lambda(noise)
                 if noise.recover == "auto"
                 else float(noise.recover)
             )
@@ -246,7 +233,7 @@ def run_point(
 def _point_task(spec: SweepSpec, point: tuple[float, float]) -> SweepRow:
     beta, h = point
     params = model.ModelParams(J=spec.J, h=h, beta=beta)
-    return run_point(params, noise=spec.noise, observables=spec.observables)
+    return run_point(params, noise=spec.noise)
 
 
 def check_writable(out_dir: str) -> None:

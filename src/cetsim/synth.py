@@ -21,9 +21,7 @@ rotations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from scipy.special import expit
+from dataclasses import dataclass
 
 from . import model
 from .errors import CapacityError, DomainError, NumericError, TopologyError
@@ -51,19 +49,13 @@ class RenormConstants:
 
     The original couplings (J, h) shift to (J - bond_shift,
     h - field_shift); `offset` is the extra single-spin shift entering
-    the first-spin marginal.  `log_norm` is the log of the overall
-    constant, which cancels in every normalised quantity and is kept
-    only for completeness.
+    the first-spin marginal.  The overall constant of the summed-out
+    weight cancels in every normalised quantity and is not kept.
     """
 
-    log_norm: float
     bond_shift: float
     field_shift: float
     offset: float
-
-    @property
-    def norm(self) -> float:
-        return math.exp(self.log_norm)
 
 
 def effective_params(params: model.ModelParams) -> RenormConstants:
@@ -77,11 +69,7 @@ def effective_params(params: model.ModelParams) -> RenormConstants:
         j_eff = J - b
         h_eff = h - c
         g = beta * j_eff * h_eff
-        log_norm = math.log(2.0) + 0.5 * (
-            0.5 * (_lncosh(2 * beta * J + beta * h) + _lncosh(2 * beta * J - beta * h))
-            + _lncosh(beta * h)
-        )
-        return RenormConstants(log_norm, b, c, g)
+        return RenormConstants(b, c, g)
     lp = _lncosh(2 * beta * J + beta * h)
     lm = _lncosh(2 * beta * J - beta * h)
     lh = _lncosh(beta * h)
@@ -92,8 +80,7 @@ def effective_params(params: model.ModelParams) -> RenormConstants:
     g = (_lncosh(beta * (j_eff + h_eff)) - _lncosh(beta * (j_eff - h_eff))) / (
         2.0 * beta
     )
-    log_norm = math.log(2.0) + 0.5 * (0.5 * (lp + lm) + lh)
-    return RenormConstants(log_norm, b, c, g)
+    return RenormConstants(b, c, g)
 
 
 def rotation_angle(p0: float) -> float:
@@ -111,7 +98,11 @@ def rotation_angle(p0: float) -> float:
 
 def _boltzmann_angle(x: float) -> float:
     """Angle of a two-outcome split with log-weight ratio 2x; cos^2 t = sigmoid(-2x)."""
-    return rotation_angle(float(expit(-2.0 * x)))
+    try:
+        p0 = 1.0 / (1.0 + math.exp(2.0 * x))
+    except OverflowError:  # exp(2x) is inf in floating point: sigmoid(-2x) = 0
+        p0 = 0.0
+    return rotation_angle(p0)
 
 
 @dataclass(frozen=True)
@@ -191,15 +182,13 @@ class Circuit:
     """An ordered gate list on `qubit_count` qubits.
 
     `params` and `include_probe` record how the circuit was synthesised
-    (None for hand-built circuits); `created_at` is informational only
-    and excluded from equality.
+    (None for hand-built circuits).
     """
 
     qubit_count: int
     gates: tuple[Gate, ...]
     params: model.ModelParams | None = None
     include_probe: bool = False
-    created_at: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.qubit_count < 1:

@@ -59,6 +59,32 @@ class TestPoint:
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep.json").exists()
 
+    def test_overflowing_beta_field_is_usage_error(self, capsys):
+        code, out, err = run_cli(["point", "--beta", "1e308", "--h", "1e308"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "nan" not in out.lower()
+        assert "error" in err
+
+    def test_extreme_beta_reads_ground_manifold(self, capsys):
+        code, out, _ = run_cli(["point", "--beta", "1e200", "--h", "1"], capsys)
+        assert code == cli.EXIT_OK
+        assert "nan" not in out.lower()
+        assert "M=-1.000000000" in out
+
+    @pytest.mark.parametrize(
+        "table",
+        [{"Z1": {"t2": 1}}, {"Z1": "fast"}, {"Z1": [0.3]}, {"Z1": None},
+         {"t2": "slow", "Z1": 0.3}, {"Z1": {"tau": 0.3, "t1": "x"}}],
+    )
+    def test_malformed_decay_profile_is_usage_error(self, capsys, tmp_path, table):
+        path = tmp_path / "decay.json"
+        path.write_text(json.dumps(table))
+        code, _, err = run_cli(
+            ["point", "--beta", "1", "--h", "0", "--decay-profile", str(path)], capsys
+        )
+        assert code == cli.EXIT_USAGE
+        assert "decay table" in err
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(["point", "--beta", "2"], capsys)
         assert code == cli.EXIT_USAGE
@@ -100,6 +126,21 @@ class TestSweep:
         )
         assert code == cli.EXIT_OK
         assert (tmp_path / "line_M_vs_h.svg").exists()
+
+    @pytest.mark.parametrize("token", ["Q-vs-h", "M-vs-beta"])
+    def test_bad_plot_token_fails_before_compute(self, capsys, tmp_path, monkeypatch,
+                                                 token):
+        def no_sweep(spec):
+            raise AssertionError("the grid must not be computed")
+
+        monkeypatch.setattr(cli.sweep, "run_sweep", no_sweep)
+        code, _, err = run_cli(
+            ["sweep", "--beta", "0.5:11:23", "--h", "-5:5:101", "--plot", token,
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == cli.EXIT_USAGE
+        assert "plot" in err
 
     def test_malformed_range_is_usage_error(self, capsys):
         code, _, _ = run_cli(["sweep", "--beta", "1:2", "--h", "0"], capsys)

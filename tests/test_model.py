@@ -7,10 +7,8 @@ from cetsim.errors import DomainError, TopologyError
 from cetsim.model import (
     CHAIN,
     ModelParams,
-    SpinConfig,
     cets_amplitudes,
     chain_conditionals,
-    energy,
     energy_table,
     exact_entropy,
     exact_expectation,
@@ -26,14 +24,12 @@ TRIANGLE_ENERGIES_J1_H1 = [6.0, 0.0, 0.0, -2.0, 0.0, -2.0, -2.0, 0.0]
 
 def test_energy_all_up():
     params = ModelParams(J=1.0, h=1.0, beta=1.0)
-    assert energy(SpinConfig(0), params) == 6.0
+    assert energy_table(params)[0] == 6.0
 
 
 def test_energy_table_matches_enumeration():
     params = ModelParams(J=1.0, h=1.0, beta=1.0)
     assert energy_table(params).tolist() == TRIANGLE_ENERGIES_J1_H1
-    for k in range(8):
-        assert energy(SpinConfig(k), params) == TRIANGLE_ENERGIES_J1_H1[k]
 
 
 def test_ground_manifold_at_h1():
@@ -116,10 +112,46 @@ def test_params_validation():
         ModelParams(J=1.0, h=0.0, beta=1.0, topology="ring")
 
 
-def test_spin_config_range_check():
-    params = ModelParams(J=1.0, h=0.0, beta=1.0)
+def test_params_reject_overflowing_energy_scale():
     with pytest.raises(DomainError):
-        energy(SpinConfig(8), params)
+        ModelParams(J=1.0, h=1e308, beta=1e308)
+    with pytest.raises(DomainError):
+        ModelParams(J=1e200, h=0.0, beta=1e200, n=5, topology=CHAIN)
+
+
+def test_gibbs_normalises_at_large_log_partition():
+    # log Z ~ 1e5: exp(log_w - log Z) carried its rounding into the weights
+    table = gibbs_distribution(ModelParams(J=6.54, h=-6.61, beta=2192.0))
+    assert abs(table.weights.sum() - 1.0) <= 1e-12
+
+
+def test_gibbs_ground_manifold_at_extreme_beta():
+    table = gibbs_distribution(ModelParams(J=1.0, h=1.0, beta=1e200))
+    np.testing.assert_allclose(table.weights[[3, 5, 6]], 1.0 / 3.0, atol=1e-15)
+    assert table.weights[[0, 1, 2, 4, 7]].max() == 0.0
+    assert math.isfinite(table.log_partition)
+
+
+def test_chain_wide_domain_normalises():
+    # log-uniform beta over 16 decades, both signs of J, chains up to n = 9
+    rng = np.random.default_rng(2026)
+    for _ in range(2000):
+        params = ModelParams(
+            J=float(rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])),
+            h=float(rng.uniform(-10.0, 10.0)),
+            beta=float(10.0 ** rng.uniform(-12.0, 4.0)),
+            n=int(rng.integers(1, 10)),
+            topology=CHAIN,
+        )
+        chain_conditionals(params)
+        gibbs_distribution(params)
+
+
+def test_chain_weight_range_check():
+    cond = chain_conditionals(ModelParams(J=1.0, h=0.0, beta=1.0, n=3, topology=CHAIN))
+    for index in (-1, 8):
+        with pytest.raises(DomainError):
+            cond.weight(index)
 
 
 def test_exact_expectation_landmarks():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cetsim.errors import DomainError, IncompleteSetError
-from cetsim.model import ModelParams, exact_entropy
+from cetsim import engine, synth
+from cetsim.errors import DomainError, IncompleteSetError, TopologyError
+from cetsim.model import CHAIN, ModelParams, exact_entropy, exact_expectation
+from cetsim.pauli import PauliString
 from cetsim.noise import DecayProfile, default_decay_table
 from cetsim.reconstruct import LABELS
 from cetsim.sweep import (
@@ -154,6 +156,58 @@ class TestRunPoint:
         assert any(av.value(lbl) != cv.value(lbl) for lbl in LABELS)
 
 
+class TestSinglePreparation:
+    @pytest.mark.parametrize(
+        "noise", [None, NoiseOptions(eta=0.7, recover="auto")], ids=["ideal", "eta-auto"]
+    )
+    def test_one_circuit_per_point(self, noise, monkeypatch):
+        built = []
+        real_build = synth.build_circuit
+
+        def counting_build(*args, **kwargs):
+            built.append(kwargs.get("include_probe", False))
+            return real_build(*args, **kwargs)
+
+        def no_probe(*args, **kwargs):
+            raise AssertionError("run_point must not go through the probe")
+
+        monkeypatch.setattr(synth, "build_circuit", counting_build)
+        monkeypatch.setattr(engine, "probe_expectation", no_probe)
+        run_point(triangle(2.0, 0.5), noise=noise)
+        assert built == [False]
+
+    def test_ideal_readouts_match_probe(self):
+        for beta in (0.0, 0.7, 3.0, 11.0):
+            for h in (-2.5, 0.0, 1.3):
+                for J in (1.0, -0.8):
+                    params = triangle(beta, h, J)
+                    ms = run_point(params).result(PROVENANCE_IDEAL).measurements
+                    for label in LABELS:
+                        probe = engine.probe_expectation(
+                            params, PauliString.parse(label, 3)
+                        )
+                        assert abs(ms.value(label) - probe.value) <= 1e-12
+
+    def test_chain_reads_first_three_spins(self):
+        params = ModelParams(J=1.0, h=0.3, beta=1.0, n=5, topology=CHAIN)
+        ms = run_point(params).result(PROVENANCE_IDEAL).measurements
+        for label in LABELS:
+            exact = exact_expectation(params, PauliString.parse(label, 5))
+            assert abs(ms.value(label) - exact) <= 1e-12
+        with pytest.raises(TopologyError):
+            run_point(ModelParams(J=1.0, h=0.3, beta=1.0, n=2, topology=CHAIN))
+
+    def test_sampled_readouts_keep_probe_streams(self):
+        seed = 41
+        for params in (triangle(0.3, 0.4), triangle(1.0, -0.6, J=-0.5)):
+            ms = run_point(params, shots=4096, seed=seed).result(PROVENANCE_IDEAL)
+            for index, label in enumerate(LABELS):
+                probe = engine.probe_expectation(
+                    params, PauliString.parse(label, 3), shots=4096, seed=seed + index
+                )
+                assert ms.measurements.value(label) == probe.value
+
+
 class TestSweepSpec:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
@@ -162,10 +216,6 @@ class TestSweepSpec:
     def test_bad_parallelism(self):
         with pytest.raises(DomainError):
             SweepSpec(betas=(1.0,), fields=(1.0,), parallelism=0)
-
-    def test_observables_must_cover_set(self):
-        with pytest.raises(IncompleteSetError):
-            SweepSpec(betas=(1.0,), fields=(1.0,), observables=("Z1", "Z2"))
 
     def test_bad_format(self):
         with pytest.raises(DomainError):

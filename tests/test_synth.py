@@ -38,17 +38,21 @@ class TestEffectiveParams:
 
     def test_closed_form_against_direct_ratio(self):
         # b and c must turn the summed-out pair weight K(z1, z2) into
-        # A * exp(beta*b*z1*z2) * exp(beta*c*(z1+z2)) for all four (z1, z2)
+        # A * exp(beta*b*z1*z2) * exp(beta*c*(z1+z2)) for all four (z1, z2);
+        # the constant A cancels in the ratio K(z1, z2) / K(+1, +1)
         beta, J, h = 2.3, 1.0, 0.7
         rc = effective_params(params(beta, h, J))
+
+        def k(z1, z2):
+            return 2 * math.cosh(beta * J * (z1 + z2) + beta * h)
+
         for z1 in (1, -1):
             for z2 in (1, -1):
-                k = 2 * math.cosh(beta * J * (z1 + z2) + beta * h)
-                model_k = rc.norm * math.exp(
-                    beta * rc.bond_shift * z1 * z2
-                    + beta * rc.field_shift * (z1 + z2)
+                model_ratio = math.exp(
+                    beta * rc.bond_shift * (z1 * z2 - 1)
+                    + beta * rc.field_shift * (z1 + z2 - 2)
                 )
-                assert k == pytest.approx(model_k, rel=1e-12)
+                assert k(z1, z2) / k(1, 1) == pytest.approx(model_ratio, rel=1e-12)
 
     def test_series_branch_matches_leading_order(self):
         beta, J, h = 1e-9, 1.3, 0.4
@@ -65,12 +69,13 @@ class TestEffectiveParams:
         assert rc.field_shift == pytest.approx(beta * J * h, rel=1e-4)
         assert rc.offset == pytest.approx(beta * J * h, rel=1e-3)
 
-    def test_log_norm_finite_on_grid(self):
+    def test_constants_finite_on_grid(self):
         for beta in np.linspace(0.0, 11.0, 23):
             for h in np.linspace(-5.0, 5.0, 21):
                 rc = effective_params(params(float(beta), float(h)))
-                assert math.isfinite(rc.log_norm)
-                assert math.isfinite(rc.norm)
+                assert math.isfinite(rc.bond_shift)
+                assert math.isfinite(rc.field_shift)
+                assert math.isfinite(rc.offset)
 
 
 class TestAngles:
