@@ -74,7 +74,7 @@ def _parse_recover(text: str):
 def _parse_formats(text: str) -> tuple[str, ...]:
     formats = tuple(part.strip() for part in text.split(",") if part.strip())
     for fmt in formats:
-        if fmt not in ("csv", "json", "svg"):
+        if fmt not in sweep.FORMATS:
             raise argparse.ArgumentTypeError(f"unknown format {fmt!r}")
     return formats
 
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--eta", type=float, required=True)
     study.add_argument("--recover", type=_parse_recover, default="auto",
                        metavar="LAM|auto")
-    _add_output_arguments(study)
+    study.add_argument("--out-dir", default=None, help="directory for output files")
     study.set_defaults(func=_cmd_noise_study)
 
     parser.command_parsers = dict(commands.choices)
@@ -189,14 +189,15 @@ def _print_row(row: sweep.SweepRow) -> None:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     params = model.ModelParams(J=args.J, h=args.h, beta=args.beta)
+    noise_options = _noise_options(args)
     row = sweep.run_point(
-        params, noise=_noise_options(args), shots=args.shots, seed=args.seed
+        params, noise=noise_options, shots=args.shots, seed=args.seed
     )
     _print_row(row)
     if args.out_dir is not None:
         spec = sweep.SweepSpec(
             betas=(args.beta,), fields=(args.h,), J=args.J,
-            noise=_noise_options(args), out_dir=args.out_dir, formats=args.format,
+            noise=noise_options, out_dir=args.out_dir, formats=args.format,
         )
         dataset = sweep.SweepDataset(spec=spec, rows=(row,))
         for path in outputs.emit_outputs(dataset, args.format, args.out_dir):
@@ -222,7 +223,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     dataset = sweep.run_sweep(spec)
     formats = args.format if args.plot is None else tuple({*args.format, "svg"})
     # keep format order deterministic
-    formats = tuple(f for f in ("csv", "json", "svg") if f in formats)
+    formats = tuple(f for f in sweep.FORMATS if f in formats)
     for path in outputs.emit_outputs(dataset, formats, out_dir, plots=plots):
         print(f"wrote {path}")
     return EXIT_OK
@@ -300,31 +301,44 @@ def _cmd_noise_study(args: argparse.Namespace) -> int:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load --config JSON and fold it into parser defaults."""
+    """Load --config JSON and fold it into the subcommand's defaults.
+
+    Each value reaches argparse as the string a command line would give,
+    so the flag's own type parses and checks it; null is accepted only
+    where the flag's default is None.
+    """
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise DomainError("--config requires a path")
     path = argv[idx + 1]
+    argv = argv[:idx] + argv[idx + 2 :]
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise DomainError(f"config {path} must be a JSON object")
     unknown = set(config) - _CONFIG_KEYS
     if unknown:
         raise DomainError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if "format" in config:
-        value = config["format"]
-        config["format"] = _parse_formats(
-            ",".join(value) if isinstance(value, list) else str(value)
-        )
-    if "recover" in config and config["recover"] is not None:
-        config["recover"] = _parse_recover(str(config["recover"]))
-    # subcommand parsers re-apply their own argument defaults over the
-    # parent's set_defaults, so the config must be folded into each of them
-    parser.set_defaults(**config)
-    for sub in getattr(parser, "command_parsers", {}).values():
-        sub.set_defaults(**config)
-    return argv[:idx] + argv[idx + 2 :]
+    command = next((token for token in argv if not token.startswith("-")), None)
+    sub = parser.command_parsers.get(command)
+    if sub is None:
+        return argv
+    defaults = {}
+    for key, value in config.items():
+        if key == "format" and isinstance(value, list):
+            value = ",".join(map(str, value))
+        if value is None:
+            if sub.get_default(key) is not None:
+                raise DomainError(f"config key {key!r} may not be null")
+        elif isinstance(value, (bool, list, dict)):
+            raise DomainError(f"config key {key!r} must be a string or a number")
+        else:
+            value = str(value)
+        defaults[key] = value
+    sub.set_defaults(**defaults)
+    return argv
 
 
 # flags whose values may start with a minus sign (negative h, ranges, ...)

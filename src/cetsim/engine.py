@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -119,23 +118,10 @@ def direct_expectation(state: StateVector, op: PauliString) -> complex:
 
 @dataclass(frozen=True)
 class ProbeReadout:
-    """One probe measurement: complex value plus the operator label.
-
-    `metadata` carries optional context such as shot counts or decay
-    factors applied downstream.
-    """
+    """One probe measurement: complex value plus the operator label."""
 
     value: complex
     label: str
-    metadata: Mapping[str, float] | None = None
-
-    @property
-    def real(self) -> float:
-        return self.value.real
-
-    @property
-    def imag(self) -> float:
-        return self.value.imag
 
 
 def sample_shots(value: complex, shots: int, seed: int | None) -> complex:
@@ -186,8 +172,6 @@ def probe_expectation(
     value = 2.0 * complex(np.vdot(state.amplitudes[:half], state.amplitudes[half:]))
     if abs(value) > 1.0 + 1e-10:
         raise NumericError(f"probe coherence {value!r} exceeds unit magnitude")
-    metadata: dict[str, float] | None = None
     if shots is not None:
         value = sample_shots(value, shots, seed)
-        metadata = {"shots": float(shots)}
-    return ProbeReadout(value=value, label=op.label(), metadata=metadata)
+    return ProbeReadout(value=value, label=op.label())

@@ -17,11 +17,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .engine import ProbeReadout, StateVector
+from .engine import StateVector
 from .errors import DomainError, NonPhysicalStateError
 
 logger = logging.getLogger(__name__)
@@ -87,12 +86,6 @@ class DensityMatrix:
         if dimension < 1:
             raise DomainError("dimension must be >= 1")
         return cls(np.eye(dimension, dtype=complex) / dimension)
-
-    @classmethod
-    def from_populations(cls, populations: np.ndarray) -> "DensityMatrix":
-        """Diagonal matrix from populations summing to one."""
-        p = np.asarray(populations, dtype=float)
-        return cls(np.diag(p.astype(complex)))
 
     @property
     def dimension(self) -> int:
@@ -192,39 +185,19 @@ class DecayProfile:
             raise DomainError(f"T1 must be > 0, got {self.t1}")
 
     @property
+    def rate(self) -> float:
+        """Decay exponent tau/T2, plus tau/T1 when T1 is set."""
+        r = self.tau / self.t2
+        if self.t1 is not None:
+            r += self.tau / self.t1
+        return r
+
+    @property
     def factor(self) -> float:
         f = math.exp(-self.tau / self.t2)
         if self.t1 is not None:
             f *= math.exp(-self.tau / self.t1)
         return f
-
-
-def observable_decay(readout: ProbeReadout, profile: DecayProfile) -> ProbeReadout:
-    """Apply a decay profile to one readout, recording the factor used."""
-    metadata = dict(readout.metadata or {})
-    metadata.update(tau=profile.tau, t2=profile.t2, factor=profile.factor)
-    if profile.t1 is not None:
-        metadata["t1"] = profile.t1
-    return ProbeReadout(
-        value=readout.value * profile.factor, label=readout.label, metadata=metadata
-    )
-
-
-@dataclass(frozen=True)
-class AnisotropySplit:
-    """Decomposition of per-observable decay rates into mean and residuals."""
-
-    mean_rate: float
-    residuals: Mapping[str, float]
-
-
-def anisotropy_split(rates: Mapping[str, float]) -> AnisotropySplit:
-    """Split rates into an isotropic mean and per-observable residuals."""
-    if not rates:
-        raise DomainError("rates mapping is empty")
-    mean = sum(rates.values()) / len(rates)
-    residuals = {label: rate - mean for label, rate in sorted(rates.items())}
-    return AnisotropySplit(mean_rate=mean, residuals=residuals)
 
 
 def default_decay_table(

@@ -16,14 +16,12 @@ exceeds 11 percent of its magnitude.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from . import model
-from .engine import ProbeReadout
 from .errors import DomainError, IncompleteSetError, NonPhysicalStateError
 from .noise import DensityMatrix, clip_to_simplex
 
@@ -55,10 +53,9 @@ _STRICT_NEG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """The seven diagonal expectations, with optional durations attached."""
+    """The seven diagonal expectations."""
 
     values: Mapping[str, complex]
-    durations: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         missing = [label for label in LABELS if label not in self.values]
@@ -67,16 +64,6 @@ class MeasurementSet:
         extra = [label for label in self.values if label not in LABELS]
         if extra:
             raise DomainError(f"unexpected observables: {', '.join(extra)}")
-
-    @classmethod
-    def from_readouts(
-        cls,
-        readouts: Iterable[ProbeReadout],
-        durations: Mapping[str, float] | None = None,
-    ) -> "MeasurementSet":
-        return cls(
-            values={r.label: complex(r.value) for r in readouts}, durations=durations
-        )
 
     def value(self, label: str) -> complex:
         return complex(self.values[label])
@@ -99,28 +86,7 @@ class MeasurementSet:
             values = {lbl: self.value(lbl) * factor[lbl] for lbl in LABELS}
         else:
             values = {lbl: self.value(lbl) * factor for lbl in LABELS}
-        return MeasurementSet(values=values, durations=self.durations)
-
-    def to_json(self) -> str:
-        payload = {}
-        for label in LABELS:
-            v = self.value(label)
-            entry: dict[str, float] = {"real": v.real, "imag": v.imag}
-            if self.durations is not None and label in self.durations:
-                entry["duration"] = float(self.durations[label])
-            payload[label] = entry
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeasurementSet":
-        raw = json.loads(text)
-        values = {}
-        durations = {}
-        for label, entry in raw.items():
-            values[label] = complex(entry["real"], entry.get("imag", 0.0))
-            if "duration" in entry:
-                durations[label] = float(entry["duration"])
-        return cls(values=values, durations=durations or None)
+        return MeasurementSet(values=values)
 
 
 @dataclass(frozen=True)
@@ -140,9 +106,6 @@ class DiagonalDensity:
     @property
     def is_physical(self) -> bool:
         return bool(np.all(self.populations >= -_STRICT_NEG_TOL))
-
-    def as_matrix(self) -> DensityMatrix:
-        return DensityMatrix.from_populations(self.populations)
 
 
 def diagonal_readout(populations: np.ndarray) -> MeasurementSet:
@@ -184,25 +147,17 @@ def entropy(density: DiagonalDensity, policy: str = "strict") -> float:
     return model.shannon_entropy(p)
 
 
-def fidelity(a, b) -> float:
-    """Uhlmann fidelity between two states.
+def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 of two density matrices.
 
-    Accepts DiagonalDensity or DensityMatrix in either slot; diagonal
-    pairs reduce to (sum sqrt(p q))^2, mixed pairs go through an
-    eigendecomposition.  Negative populations from non-physical
-    reconstructions are clipped at zero for the square roots.
+    Negative eigenvalues from non-physical recoveries are clipped at zero
+    for the square roots.
     """
-    if isinstance(a, DiagonalDensity) and isinstance(b, DiagonalDensity):
-        p = np.clip(a.populations, 0.0, None)
-        q = np.clip(b.populations, 0.0, None)
-        return float(np.sum(np.sqrt(p * q)) ** 2)
-    ma = a.as_matrix() if isinstance(a, DiagonalDensity) else a
-    mb = b.as_matrix() if isinstance(b, DiagonalDensity) else b
-    if ma.dimension != mb.dimension:
+    if a.dimension != b.dimension:
         raise DomainError("fidelity requires equal dimensions")
-    evals, evecs = np.linalg.eigh(ma.matrix)
+    evals, evecs = np.linalg.eigh(a.matrix)
     sqrt_a = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    inner = sqrt_a @ mb.matrix @ sqrt_a
+    inner = sqrt_a @ b.matrix @ sqrt_a
     evals_inner = np.linalg.eigvalsh(inner)
     return float(np.sum(np.sqrt(np.clip(evals_inner, 0.0, None))) ** 2)
 
@@ -236,10 +191,3 @@ def exact_measurement_set(params: model.ModelParams) -> MeasurementSet:
     }
     return MeasurementSet(values=values)
 
-
-def imaginary_fraction(value: complex) -> float:
-    """|Im| / |value|, the residual measure used for flagging."""
-    magnitude = abs(value)
-    if magnitude == 0.0:
-        return 0.0
-    return abs(value.imag) / magnitude

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -19,11 +20,14 @@ import numpy as np
 
 from . import engine, model, reconstruct, synth
 from .errors import DomainError, IncompleteSetError, NumericError, TopologyError
-from .noise import DecayProfile, anisotropy_split
+from .noise import DecayProfile
 
 PROVENANCE_IDEAL = "ideal"
 PROVENANCE_NOISY = "simulated-noisy"
 PROVENANCE_RECOVERED = "recovered"
+
+#: Output formats, in the order they are written.
+FORMATS = ("csv", "json", "svg")
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ class SweepSpec:
         if self.parallelism < 1:
             raise DomainError(f"parallelism must be >= 1, got {self.parallelism}")
         for fmt in self.formats:
-            if fmt not in ("csv", "json", "svg"):
+            if fmt not in FORMATS:
                 raise DomainError(f"unknown output format {fmt!r}")
 
 
@@ -155,16 +159,19 @@ def _auto_lambda(noise: NoiseOptions) -> float:
 
     Depolarisation: sqrt(Tr rho_eps^2) of the depolarised prepared state,
     which for a pure state of dimension D is sqrt(eta^2 (1 - 1/D) + 1/D).
-    Per-observable decay: the isotropic component exp(-mean rate), with
-    the residuals left to the caller via anisotropy_split.
+    Per-observable decay: the isotropic component exp(-mean rate).  If
+    its inverse overflows, or any readout's decay factor underflows to 0,
+    there is nothing to recover and a DomainError is raised.
     """
     if noise.eta is not None:
         d = len(reconstruct.SIGNS)
         return math.sqrt(noise.eta**2 * (1.0 - 1.0 / d) + 1.0 / d)
-    rates = {
-        label: -math.log(noise.decay[label].factor) for label in reconstruct.LABELS
-    }
-    return math.exp(-anisotropy_split(rates).mean_rate)
+    profiles = [noise.decay[label] for label in reconstruct.LABELS]
+    lam = math.exp(-sum(p.rate for p in profiles) / len(profiles))
+    if lam < 1.0 / sys.float_info.max or min(p.factor for p in profiles) == 0.0:
+        worst = max(p.rate for p in profiles)
+        raise DomainError(f"decay rate {worst:g} leaves nothing to recover")
+    return lam
 
 
 def run_point(
@@ -197,10 +204,7 @@ def run_point(
             )
             for index, label in enumerate(reconstruct.LABELS)
         }
-    durations = None
-    if noise is not None and noise.decay is not None:
-        durations = {label: noise.decay[label].tau for label in reconstruct.LABELS}
-    ideal = reconstruct.MeasurementSet(values=values, durations=durations)
+    ideal = reconstruct.MeasurementSet(values=values)
     results = [_stage_result(PROVENANCE_IDEAL, ideal, entropy_policy="strict")]
 
     if noise is not None and noise.active:

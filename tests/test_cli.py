@@ -7,6 +7,8 @@ import pytest
 from cetsim import cli
 from cetsim.errors import NumericError
 from cetsim.model import ModelParams
+from cetsim.noise import DEFAULT_DURATIONS
+from cetsim.reconstruct import LABELS
 from cetsim.sweep import run_point
 from cetsim.synth import parse_circuit
 
@@ -84,6 +86,45 @@ class TestPoint:
         )
         assert code == cli.EXIT_USAGE
         assert "decay table" in err
+
+    @pytest.mark.parametrize(
+        "taus",
+        [dict.fromkeys(LABELS, 1000.0), {**DEFAULT_DURATIONS, "Z1Z3": 800.0},
+         dict.fromkeys(LABELS, 715.0)],
+        ids=["every-tau-1000", "z1z3-tau-800", "every-tau-715"],
+    )
+    def test_underflowing_decay_with_auto_recover_is_usage_error(
+        self, capsys, tmp_path, taus
+    ):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"t2": 1.0, **taus}))
+        code, _, err = run_cli(
+            ["point", "--beta", "1", "--h", "0", "--decay-profile", str(path),
+             "--recover", "auto"],
+            capsys,
+        )
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error:")
+        assert "nothing to recover" in err
+
+    def test_noise_options_read_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "decay.json"
+        path.write_text(json.dumps(DEFAULT_DURATIONS))
+        loads = []
+        real_load = cli.noise.load_decay_table
+
+        def counted(p):
+            loads.append(p)
+            return real_load(p)
+
+        monkeypatch.setattr(cli.noise, "load_decay_table", counted)
+        code, _, _ = run_cli(
+            ["point", "--beta", "1", "--h", "0", "--decay-profile", str(path),
+             "--out-dir", str(tmp_path / "out"), "--format", "json"],
+            capsys,
+        )
+        assert code == cli.EXIT_OK
+        assert len(loads) == 1
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(["point", "--beta", "2"], capsys)
@@ -250,6 +291,15 @@ class TestNoiseStudy:
         assert saved == json.loads(out)
         assert "wrote" in err
 
+    def test_format_flag_not_accepted(self, capsys):
+        code, _, err = run_cli(
+            ["noise-study", "--beta", "11", "--h", "1", "--eta", "0.5",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == cli.EXIT_USAGE
+        assert "--format" in err
+
 
 class TestConfig:
     def test_config_sets_defaults(self, capsys, tmp_path):
@@ -292,6 +342,44 @@ class TestConfig:
             ["--config", str(cfg), "point", "--beta", "1", "--h", "0"], capsys
         )
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "config, command",
+        [
+            ([1], "point"),
+            ("x", "point"),
+            ({"J": None}, "point"),
+            ({"t2": "abc"}, "point"),
+            ({"seed": True}, "point"),
+            ({"recover": None}, "noise-study"),
+            ({"parallel": 2.5}, "sweep"),
+        ],
+        ids=["list", "string", "null-J", "text-t2", "bool-seed", "null-recover",
+             "fractional-parallel"],
+    )
+    def test_malformed_value_is_usage_error(self, capsys, tmp_path, config, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), command, "--beta", "1", "--h", "0"]
+        if command == "noise-study":
+            argv += ["--eta", "0.5"]
+        code, _, err = run_cli(argv + ["--out-dir", str(tmp_path / "out")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "error:" in err
+        assert "unknown config keys" not in err
+
+    def test_values_parsed_by_flag_type(self, capsys, tmp_path):
+        # null is fine where the flag's default is None (seed, t1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"J": "2", "eta": 0.5, "recover": 0.5, "seed": None, "t1": None}
+        ))
+        code, out, _ = run_cli(
+            ["--config", str(cfg), "point", "--beta", "1", "--h", "0"], capsys
+        )
+        assert code == cli.EXIT_OK
+        assert "J=2" in out
+        assert "[recovered]" in out
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -206,7 +206,6 @@ class TestProbeExpectation:
         a = probe_expectation(params, op, shots=4000, seed=9)
         b = probe_expectation(params, op, shots=4000, seed=9)
         assert a.value == b.value
-        assert a.metadata == {"shots": 4000.0}
         exact = probe_expectation(params, op).value
         # binomial error ~ 1/sqrt(shots)
         assert abs(a.value.real - exact.real) < 5.0 / math.sqrt(4000)

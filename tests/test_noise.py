@@ -4,21 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from cetsim.engine import ProbeReadout, run_circuit
+from cetsim.engine import run_circuit
 from cetsim.errors import DomainError, NonPhysicalStateError
 from cetsim.model import ModelParams
 from cetsim.noise import (
     DEFAULT_DURATIONS,
-    AnisotropySplit,
     DecayProfile,
     DensityMatrix,
-    anisotropy_split,
     clip_to_simplex,
     default_decay_table,
     depolarize,
     estimate_eta,
     load_decay_table,
-    observable_decay,
     projection_overlap,
     recover,
 )
@@ -59,10 +56,6 @@ class TestDensityMatrix:
     def test_maximally_mixed(self):
         rho = DensityMatrix.maximally_mixed(8)
         assert rho.purity() == pytest.approx(1.0 / 8.0, abs=1e-15)
-
-    def test_from_populations(self):
-        rho = DensityMatrix.from_populations(np.full(8, 0.125))
-        assert rho.purity() == pytest.approx(0.125)
 
 
 class TestDepolarize:
@@ -163,7 +156,7 @@ class TestRecover:
         # the recovery map is affine with positive slope on populations
         rng = np.random.default_rng(6)
         p = rng.dirichlet(np.ones(8))
-        rho = depolarize(DensityMatrix.from_populations(p), 0.6)
+        rho = depolarize(DensityMatrix(np.diag(p).astype(complex)), 0.6)
         rec = recover(rho, 0.8)
         before = np.argsort(np.real(np.diag(rho.matrix)))
         after = np.argsort(np.real(np.diag(rec.matrix)))
@@ -201,6 +194,17 @@ class TestDecay:
             math.exp(-0.5) * math.exp(-0.5 / 2.95), abs=1e-15
         )
 
+    def test_rate(self):
+        assert DecayProfile(tau=0.35, t2=0.5).rate == pytest.approx(0.7, abs=1e-15)
+        profile = DecayProfile(tau=0.5, t2=1.0, t1=2.95)
+        assert profile.rate == pytest.approx(0.5 + 0.5 / 2.95, abs=1e-15)
+        assert math.exp(-profile.rate) == pytest.approx(profile.factor, rel=1e-15)
+
+    def test_rate_stays_finite_when_factor_underflows(self):
+        profile = DecayProfile(tau=1000.0, t2=1.0)
+        assert profile.factor == 0.0
+        assert profile.rate == 1000.0
+
     def test_profile_validation(self):
         with pytest.raises(DomainError):
             DecayProfile(tau=-0.1)
@@ -208,14 +212,6 @@ class TestDecay:
             DecayProfile(tau=0.1, t2=0.0)
         with pytest.raises(DomainError):
             DecayProfile(tau=0.1, t2=1.0, t1=-1.0)
-
-    def test_observable_decay_scales_value(self):
-        readout = ProbeReadout(value=complex(-1.0 / 3.0), label="Z1")
-        out = observable_decay(readout, DecayProfile(tau=0.35, t2=1.0))
-        assert out.value == pytest.approx(-math.exp(-0.35) / 3.0, abs=1e-15)
-        assert out.label == "Z1"
-        assert out.metadata["tau"] == 0.35
-        assert out.metadata["factor"] == pytest.approx(math.exp(-0.35))
 
     def test_default_table_covers_standard_set(self):
         table = default_decay_table()
@@ -244,23 +240,6 @@ class TestDecay:
         path.write_text("[1, 2]")
         with pytest.raises(DomainError):
             load_decay_table(path)
-
-
-class TestAnisotropySplit:
-    def test_mean_and_residuals(self):
-        split = anisotropy_split({"Z1": 0.35, "Z2": 0.46, "Z3": 0.57})
-        assert split.mean_rate == pytest.approx(0.46)
-        assert split.residuals["Z1"] == pytest.approx(-0.11)
-        assert split.residuals["Z3"] == pytest.approx(0.11)
-        assert sum(split.residuals.values()) == pytest.approx(0.0, abs=1e-15)
-
-    def test_isotropic_input(self):
-        split = anisotropy_split({"Z1": 0.5, "Z2": 0.5})
-        assert split == AnisotropySplit(mean_rate=0.5, residuals={"Z1": 0.0, "Z2": 0.0})
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            anisotropy_split({})
 
 
 class TestClipToSimplex:

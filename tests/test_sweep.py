@@ -123,7 +123,6 @@ class TestRunPoint:
         for label in LABELS:
             expected = ideal.measurements.value(label) * table[label].factor
             assert noisy.measurements.value(label) == pytest.approx(expected, abs=1e-12)
-        assert noisy.measurements.durations["Z1Z3"] == 0.76
 
     def test_decay_auto_lambda_is_isotropic_component(self):
         table = default_decay_table()
@@ -135,6 +134,15 @@ class TestRunPoint:
         rec = row.result(PROVENANCE_RECOVERED)
         lam = math.exp(-mean_tau)
         assert rec.magnetization == pytest.approx(noisy.magnetization / lam, abs=1e-12)
+
+    def test_decay_auto_lambda_rejects_underflow(self):
+        table = dict(default_decay_table())
+        table["Z1Z3"] = DecayProfile(tau=800.0)
+        with pytest.raises(DomainError):
+            run_point(triangle(1.0, 0.0), NoiseOptions(decay=table, recover="auto"))
+        # a fixed factor divides by that factor only
+        row = run_point(triangle(1.0, 0.0), NoiseOptions(decay=table, recover=0.5))
+        assert row.result(PROVENANCE_RECOVERED).measurements.value("Z1Z3") == 0.0
 
     def test_decay_zero_noise_limit(self):
         table = default_decay_table(t2=1e12)
