@@ -26,6 +26,8 @@ from .errors import DomainError, NumericError
 from .pauli import PauliString
 
 _SQRT_HALF = math.sqrt(0.5)
+#: numpy draws binomial counts as int64.
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -129,10 +131,13 @@ def sample_shots(value: complex, shots: int, seed: int | None) -> complex:
 
     The real and imaginary parts are replaced by the means of `shots`
     probe X and Y readings, drawn binomially from a generator seeded
-    with `seed`.
+    with `seed`.  Shots run from 1 to the largest int64; a seed, when
+    given, is >= 0.
     """
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise DomainError(f"shots must be in [1, {_MAX_SHOTS}], got {shots}")
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     p_x = min(max(0.5 * (1.0 + value.real), 0.0), 1.0)
     p_y = min(max(0.5 * (1.0 + value.imag), 0.0), 1.0)

@@ -4,11 +4,17 @@ All emitters format numbers through repr(float(...)) or fixed-width
 templates, never through locale- or platform-dependent paths, so two
 runs of the same sweep produce byte-identical files regardless of the
 worker count that computed them.
+
+`sweep.json` is streamed one grid row at a time through fixed `%`
+templates whose keys are already sorted; each number is spelled as
+`json` spells it, so the file is the one `json.dump(indent=2,
+sort_keys=True)` would write, without its pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Iterable, Sequence
 
@@ -90,42 +96,90 @@ def _spec_payload(spec: sweep_mod.SweepSpec) -> dict:
     }
 
 
+def _numbers(values: list) -> list[str]:
+    """Scalars spelled as `json` spells them.
+
+    Finite floats go through float.__repr__ in one pass; a list holding
+    anything else (NaN, Infinity, an integer) goes through json.dumps.
+    """
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:
+        return list(map(json.dumps, values))
+    return texts if all(map(math.isfinite, values)) else list(map(json.dumps, values))
+
+
+def _template(skeleton: dict, indent: int) -> str:
+    """`skeleton` as json.dump lays it out at `indent`, each None a `%s` slot.
+
+    The first line carries no indent, as the caller places it.
+    """
+    text = json.dumps(skeleton, indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + " " * indent).replace("null", "%s")
+
+
+def _list(items: list[str], indent: int) -> str:
+    """Pre-spelled items as json.dump lays out a list at `indent`."""
+    if not items:
+        return "[]"
+    pad = " " * (indent + 2)
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + " " * indent + "]"
+
+
+#: Slots in sorted-key order: C2, C3, M, S, (imag, real) per label in
+#: _OBSERVABLE_ORDER, populations, provenance.
+_STAGE = _template(
+    {
+        "C2": None, "C3": None, "M": None, "S": None,
+        "observables": {label: {"imag": None, "real": None} for label in LABELS},
+        "populations": None,
+        "provenance": None,
+    },
+    8,
+)
+_OBSERVABLE_ORDER = tuple(sorted(LABELS))
+#: Slots in sorted-key order: J, beta, h, logZ, results.
+_ROW = _template(
+    {"J": None, "beta": None, "h": None, "logZ": None, "results": None}, 4
+)
+
+
+def _stage_text(res: sweep_mod.PointResult) -> str:
+    values = [
+        res.pair_correlation,
+        res.triple_correlation,
+        res.magnetization,
+        res.entropy,
+    ]
+    for label in _OBSERVABLE_ORDER:
+        value = res.measurements.value(label)
+        values += (value.imag, value.real)
+    populations = _numbers(list(map(float, res.populations)))
+    return _STAGE % (
+        *_numbers(values), _list(populations, 10), json.dumps(res.provenance)
+    )
+
+
 def write_json(dataset: sweep_mod.SweepDataset, path) -> None:
-    """Full dataset, including raw complex readouts and populations."""
-    rows = []
-    for row in dataset.rows:
-        results = []
-        for res in row.results:
-            results.append(
-                {
-                    "provenance": res.provenance,
-                    "observables": {
-                        label: {
-                            "real": res.measurements.value(label).real,
-                            "imag": res.measurements.value(label).imag,
-                        }
-                        for label in LABELS
-                    },
-                    "populations": [float(p) for p in res.populations],
-                    "M": res.magnetization,
-                    "C2": res.pair_correlation,
-                    "C3": res.triple_correlation,
-                    "S": res.entropy,
-                }
-            )
-        rows.append(
-            {
-                "beta": row.beta,
-                "h": row.h,
-                "J": row.J,
-                "logZ": row.log_partition,
-                "results": results,
-            }
-        )
-    payload = {"spec": _spec_payload(dataset.spec), "rows": rows}
+    """Full dataset, including raw complex readouts and populations.
+
+    The bytes are those of json.dump(payload, indent=2, sort_keys=True)
+    plus a newline.  Each grid row is filled into fixed templates, with
+    every number spelled as `json` spells it, and written as it is
+    built, so the document is never held whole; only the spec block
+    goes through json.dumps.
+    """
+    spec = json.dumps(_spec_payload(dataset.spec), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n  "rows": [')
+        separator = "\n    "
+        for row in dataset.rows:
+            results = _list([_stage_text(res) for res in row.results], 6)
+            scalars = _numbers([row.J, row.beta, row.h, row.log_partition])
+            fh.write(separator + _ROW % (*scalars, results))
+            separator = ",\n    "
+        fh.write("\n  ],\n" if dataset.rows else "],\n")
+        fh.write('  "spec": ' + spec.replace("\n", "\n  ") + "\n}\n")
 
 
 def _scale_color(t: float) -> str:

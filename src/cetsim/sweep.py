@@ -254,7 +254,8 @@ def run_sweep(spec: SweepSpec) -> SweepDataset:
 
     Output paths are validated before any point is computed, so an
     unwritable destination fails fast.  Parallel runs partition the grid
-    over processes while preserving point order, and the results are
+    over at most `parallelism` processes, and no more than there are
+    points or CPUs, while preserving point order; the results are
     bit-identical to a serial run.
     """
     if spec.out_dir is not None:
@@ -262,8 +263,11 @@ def run_sweep(spec: SweepSpec) -> SweepDataset:
     points = [(beta, h) for beta in spec.betas for h in spec.fields]
     task = partial(_point_task, spec)
     if spec.parallelism > 1:
-        chunk = max(1, len(points) // (4 * spec.parallelism))
-        with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
+        # the pool forks every worker at the first submit, so start no
+        # more than there are points or CPUs to keep busy
+        workers = min(spec.parallelism, len(points), os.cpu_count() or 1)
+        chunk = max(1, len(points) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(task, points, chunksize=chunk))
     else:
         rows = tuple(task(point) for point in points)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cetsim import cli
 from cetsim.errors import NumericError
@@ -134,6 +136,19 @@ class TestPoint:
         code, _, err = run_cli(["point", "--beta", "-2", "--h", "0"], capsys)
         assert code == cli.EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shots", "10", "--seed", "-1"], ["--shots", "100000000000000000000"]],
+        ids=["negative-seed", "shots-above-int64"],
+    )
+    def test_bad_shot_input_is_usage_error(self, capsys, flags):
+        code, _, err = run_cli(
+            ["point", "--beta", "2", "--h", "0.5", *flags], capsys
+        )
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestSweep:
@@ -406,6 +421,50 @@ class TestExitCodeMapping:
         code, _, err = run_cli(["point", "--beta", "1", "--h", "0"], capsys)
         assert code == cli.EXIT_NUMERIC
         assert "numeric-consistency" in err
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def _flag(name, values):
+    """An optional `--name=value` flag (one token, so negatives parse)."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+_POINT_ARGS = st.tuples(
+    st.one_of(st.just(0.0), st.floats(-12.0, 300.0).map(lambda e: 10.0**e)),
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    _flag("shots", st.one_of(
+        st.integers(-5, 5000), st.integers(_INT64_MAX - 2, _INT64_MAX + 2**40)
+    )),
+    _flag("seed", st.one_of(
+        st.integers(-(2**70), 2**16), st.integers(_INT64_MAX, 2**70)
+    )),
+    _flag("eta", st.floats(-0.5, 1.5, allow_nan=False)),
+    _flag("recover", st.one_of(st.just("auto"), st.floats(-0.5, 1.5))),
+)
+
+
+class TestExitCodeProperty:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(_POINT_ARGS)
+    def test_point_exits_with_a_documented_code(self, capsys, args):
+        beta, h, J, *flags = args
+        argv = ["point", f"--beta={beta!r}", f"--h={h!r}", f"--J={J!r}"]
+        for flag in flags:
+            argv += flag
+        code, out, _ = run_cli(argv, capsys)
+        assert code in (0, 2, 3, 4)
+        if code == cli.EXIT_OK:
+            assert "nan" not in out.lower()
+            assert "inf" not in out.lower()
 
 
 class TestModuleInvocation:

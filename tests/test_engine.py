@@ -9,6 +9,7 @@ from cetsim.engine import (
     direct_expectation,
     probe_expectation,
     run_circuit,
+    sample_shots,
 )
 from cetsim.errors import DomainError
 from cetsim.model import CHAIN, ModelParams, cets_amplitudes, exact_expectation, gibbs_distribution
@@ -214,6 +215,14 @@ class TestProbeExpectation:
         params = ModelParams(J=1.0, h=1.0, beta=2.0)
         with pytest.raises(DomainError):
             probe_expectation(params, PauliString.parse("Z1", 3), shots=0)
+
+    def test_sample_shots_bounds(self):
+        top = int(np.iinfo(np.int64).max)
+        assert abs(sample_shots(0.5 + 0.0j, top, 0).real - 0.5) < 1e-6
+        with pytest.raises(DomainError, match="shots"):
+            sample_shots(0.5 + 0.0j, top + 1, 0)
+        with pytest.raises(DomainError, match="seed"):
+            sample_shots(0.5 + 0.0j, 10, -1)
 
     def test_size_mismatch(self):
         params = ModelParams(J=1.0, h=1.0, beta=2.0)

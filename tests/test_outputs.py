@@ -1,11 +1,16 @@
 import json
+import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from cetsim.errors import DomainError
+from cetsim.model import ModelParams
+from cetsim.noise import default_decay_table
 from cetsim.outputs import (
     CSV_HEADER,
+    _spec_payload,
     default_plots,
     emit_outputs,
     write_csv,
@@ -13,7 +18,16 @@ from cetsim.outputs import (
     write_json,
     write_line_plot,
 )
-from cetsim.sweep import NoiseOptions, SweepSpec, run_sweep
+from cetsim.reconstruct import LABELS, MeasurementSet
+from cetsim.sweep import (
+    NoiseOptions,
+    PointResult,
+    SweepDataset,
+    SweepRow,
+    SweepSpec,
+    run_point,
+    run_sweep,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +126,128 @@ class TestJson:
         write_json(ideal_dataset, path)
         text = path.read_text(encoding="utf-8")
         assert text.index('"rows"') < text.index('"spec"')
+
+
+def reference_json(dataset, path):
+    """sweep.json as one nested payload through json.dump."""
+    rows = []
+    for row in dataset.rows:
+        results = []
+        for res in row.results:
+            results.append(
+                {
+                    "provenance": res.provenance,
+                    "observables": {
+                        label: {
+                            "real": res.measurements.value(label).real,
+                            "imag": res.measurements.value(label).imag,
+                        }
+                        for label in LABELS
+                    },
+                    "populations": [float(p) for p in res.populations],
+                    "M": res.magnetization,
+                    "C2": res.pair_correlation,
+                    "C3": res.triple_correlation,
+                    "S": res.entropy,
+                }
+            )
+        rows.append(
+            {
+                "beta": row.beta,
+                "h": row.h,
+                "J": row.J,
+                "logZ": row.log_partition,
+                "results": results,
+            }
+        )
+    payload = {"spec": _spec_payload(dataset.spec), "rows": rows}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _eta_auto():
+    return run_sweep(
+        SweepSpec(
+            betas=(0.5, 3.0),
+            fields=(-1.0, 0.25),
+            noise=NoiseOptions(eta=0.7, recover="auto"),
+        )
+    )
+
+
+def _decay_t1():
+    noise = NoiseOptions(decay=default_decay_table(t1=3.0), recover="auto")
+    return run_sweep(SweepSpec(betas=(1.0, 3.0), fields=(-1.0, 1.0), noise=noise))
+
+
+def _shots():
+    noise = NoiseOptions(eta=0.9, recover="auto")
+    row = run_point(
+        ModelParams(J=1.0, h=0.2, beta=0.3), noise=noise, shots=4096, seed=5
+    )
+    assert any(res.measurements.value("Z1").imag != 0.0 for res in row.results)
+    spec = SweepSpec(betas=(0.3,), fields=(0.2,), noise=noise)
+    return SweepDataset(spec=spec, rows=(row,))
+
+
+def _integer_inputs():
+    return run_sweep(SweepSpec(betas=(1, 2), fields=(0.5,), J=1))
+
+
+def _special_floats():
+    values = {label: complex(-0.0, math.nan) for label in LABELS}
+    values["Z1"] = complex(math.inf, -math.inf)
+    res = PointResult(
+        provenance="ideal",
+        measurements=MeasurementSet(values=values),
+        populations=np.array([-0.0, math.nan, math.inf, -math.inf, 0.5, 0, 1, 2]),
+        magnetization=-0.0,
+        pair_correlation=math.nan,
+        triple_correlation=math.inf,
+        entropy=-math.inf,
+    )
+    row = SweepRow(beta=1.0, h=-0.0, J=-1.0, log_partition=math.nan, results=(res,))
+    return SweepDataset(spec=SweepSpec(betas=(1.0,), fields=(-0.0,)), rows=(row,))
+
+
+def _no_rows():
+    return SweepDataset(spec=SweepSpec(betas=(1.0,), fields=(0.0,)), rows=())
+
+
+class TestJsonBytes:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: run_sweep(SweepSpec(betas=(1.0, 2.0), fields=(-1.0, 0.0, 1.0))),
+            _eta_auto,
+            _decay_t1,
+            _shots,
+            _integer_inputs,
+            _special_floats,
+            _no_rows,
+        ],
+        ids=[
+            "ideal", "eta-auto", "decay-t1", "shots", "integer-inputs",
+            "special-floats", "no-rows",
+        ],
+    )
+    def test_matches_json_dump(self, build, tmp_path):
+        dataset = build()
+        write_json(dataset, tmp_path / "streamed.json")
+        reference_json(dataset, tmp_path / "reference.json")
+        streamed = (tmp_path / "streamed.json").read_bytes()
+        assert streamed == (tmp_path / "reference.json").read_bytes()
+
+    def test_integer_inputs_spelled_as_integers(self, tmp_path):
+        write_json(_integer_inputs(), tmp_path / "sweep.json")
+        text = (tmp_path / "sweep.json").read_text(encoding="utf-8")
+        assert '      "J": 1,\n      "beta": 1,\n' in text
+
+    def test_decay_spec_block_nested(self, tmp_path):
+        write_json(_decay_t1(), tmp_path / "sweep.json")
+        spec = json.loads((tmp_path / "sweep.json").read_text())["spec"]
+        assert spec["noise"]["decay"]["Z1"]["t1"] == 3.0
 
 
 class TestSvg:

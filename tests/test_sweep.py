@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cetsim import engine, synth
+from cetsim import sweep as sweep_mod
 from cetsim.errors import DomainError, IncompleteSetError, TopologyError
 from cetsim.model import CHAIN, ModelParams, exact_entropy, exact_expectation
 from cetsim.pauli import PauliString
@@ -254,6 +255,37 @@ class TestRunSweep:
             SweepSpec(betas=betas, fields=fields, noise=noise, parallelism=4)
         )
         assert_rows_equal(serial.rows, parallel.rows)
+
+    @pytest.mark.parametrize(
+        "parallelism, points, cpus, workers, chunk",
+        [(2, 40, 2, 2, 5), (8, 1, 8, 1, 1), (8, 12, 3, 3, 1), (2, 40, None, 1, 10)],
+    )
+    def test_pool_sized_by_points_and_cpus(
+        self, monkeypatch, parallelism, points, cpus, workers, chunk
+    ):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                started.append(chunksize)
+                return map(fn, items)
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
+        fields = tuple(float(h) for h in np.linspace(-1.0, 1.0, points))
+        spec = SweepSpec(betas=(1.0,), fields=fields, parallelism=parallelism)
+        dataset = run_sweep(spec)
+        assert started == [workers, chunk]
+        assert len(dataset.rows) == points
 
     def test_unwritable_out_dir_fails_before_compute(self, tmp_path):
         blocker = tmp_path / "file"
