@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number or lo:hi:steps")
     swp.add_argument("--J", type=float, default=1.0)
     swp.add_argument("--parallel", type=int, default=1, metavar="N",
-                     help="worker processes")
-    swp.add_argument("--seed", type=int, default=None)
+                     help="accepted (N >= 1) but changes nothing: every sweep "
+                          "runs as one batch in this process")
     swp.add_argument("--plot", default=None,
                      help="comma-separated plot tokens, e.g. M-vs-h,S-heatmap")
     _add_noise_arguments(swp)
@@ -197,7 +197,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
     if args.out_dir is not None:
         spec = sweep.SweepSpec(
             betas=(args.beta,), fields=(args.h,), J=args.J,
-            noise=noise_options, out_dir=args.out_dir, formats=args.format,
+            noise=noise_options, formats=args.format,
         )
         dataset = sweep.SweepDataset(spec=spec, rows=(row,))
         for path in outputs.emit_outputs(dataset, args.format, args.out_dir):
@@ -213,13 +213,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         J=args.J,
         noise=_noise_options(args),
         parallelism=args.parallel,
-        seed=args.seed,
-        out_dir=out_dir,
         formats=args.format,
     )
     plots = args.plot.split(",") if args.plot else None
     for token in plots or ():
         outputs.parse_plot_token(token)
+    # an unwritable destination fails before any point is computed
+    sweep.check_writable(out_dir)
     dataset = sweep.run_sweep(spec)
     formats = args.format if args.plot is None else tuple({*args.format, "svg"})
     # keep format order deterministic

@@ -2,9 +2,11 @@
 
 The register uses big-endian indexing: qubit 0 is the most significant
 bit of the state index, so for a three-spin circuit the index reads as
-the spin string b_1 b_2 b_3.  Gates act in place on a single amplitude
-buffer; running a circuit allocates exactly one vector of length
-2**qubit_count.
+the spin string b_1 b_2 b_3.
+
+One gate kernel acts in place, through views, on B registers held as
+a (2, ..., 2, B) array whose axis q is qubit q.  `run_circuits` runs B
+circuits of one gate shape at once; `run_circuit` is its B = 1 call.
 
 Readout of an operator U on a prepared state |psi> goes through an
 ancilla probe: the register is driven to (|0>|psi> + |1> U|psi>)/sqrt(2)
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +40,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        # gates write through reshape views of one contiguous buffer
+        self.amplitudes = np.ascontiguousarray(self.amplitudes)
         size = self.amplitudes.shape[0]
         if self.amplitudes.ndim != 1 or size & (size - 1) or size == 0:
             raise DomainError("amplitude vector length must be a power of two")
@@ -60,17 +65,28 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _pair_indices(
-    num_qubits: int, target: int, controls: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the (bit=0, bit=1) amplitude pairs the gate acts on."""
-    t_bit = 1 << (num_qubits - 1 - target)
-    idx = np.arange(1 << num_qubits)
-    mask = (idx & t_bit) == 0
-    for c in controls:
-        mask &= (idx & (1 << (num_qubits - 1 - c))) != 0
-    i0 = idx[mask]
-    return i0, i0 | t_bit
+def _apply(amps: np.ndarray, gate: synth.Gate, cos=None, sin=None) -> None:
+    """Apply one gate in place to a (2, ..., 2, B) batch of registers.
+
+    `cos` and `sin` hold each register's angle for a "rot" gate.
+    """
+    sel = [slice(None)] * amps.ndim
+    for c in gate.controls:
+        sel[c] = 1
+    sel[gate.target] = 0
+    a0 = amps[tuple(sel)]
+    sel[gate.target] = 1
+    a1 = amps[tuple(sel)]
+    if gate.kind == "rot":
+        a0[...], a1[...] = cos * a0 - sin * a1, sin * a0 + cos * a1
+    elif gate.kind == "h":
+        a0[...], a1[...] = _SQRT_HALF * (a0 + a1), _SQRT_HALF * (a0 - a1)
+    elif gate.letter == "X":
+        a0[...], a1[...] = a1.copy(), a0.copy()
+    elif gate.letter == "Y":
+        a0[...], a1[...] = -1j * a1, 1j * a0
+    else:  # Z
+        np.negative(a1, out=a1)
 
 
 def apply_gate(state: StateVector, gate: synth.Gate) -> StateVector:
@@ -79,34 +95,41 @@ def apply_gate(state: StateVector, gate: synth.Gate) -> StateVector:
     touched = (gate.target, *gate.controls)
     if max(touched) >= n:
         raise DomainError(f"gate touches qubit {max(touched)}, register has {n}")
-    i0, i1 = _pair_indices(n, gate.target, gate.controls)
-    amps = state.amplitudes
-    a0 = amps[i0]
-    a1 = amps[i1]
-    if gate.kind == "rot":
-        c, s = math.cos(gate.theta), math.sin(gate.theta)
-        amps[i0] = c * a0 - s * a1
-        amps[i1] = s * a0 + c * a1
-    elif gate.kind == "h":
-        amps[i0] = _SQRT_HALF * (a0 + a1)
-        amps[i1] = _SQRT_HALF * (a0 - a1)
-    elif gate.letter == "X":
-        amps[i0] = a1
-        amps[i1] = a0
-    elif gate.letter == "Y":
-        amps[i0] = -1j * a1
-        amps[i1] = 1j * a0
-    else:  # Z
-        amps[i1] = -a1
+    theta = gate.theta or 0.0
+    view = state.amplitudes.reshape((2,) * n + (1,))
+    _apply(view, gate, complex(math.cos(theta)), complex(math.sin(theta)))
     return state
+
+
+def run_circuits(circuits: Sequence[synth.Circuit]) -> np.ndarray:
+    """Execute B circuits of one gate shape on |0...0>; (B, 2**n) amplitudes.
+
+    The circuits must agree in qubit count and in every gate's kind,
+    target, controls and letter; only the rotation angles may differ.
+    """
+    shapes = {
+        (c.qubit_count, *((g.kind, g.target, g.controls, g.letter) for g in c.gates))
+        for c in circuits
+    }
+    if len(shapes) != 1:
+        raise DomainError("a batch needs one or more circuits of one gate shape")
+    n, batch = circuits[0].qubit_count, len(circuits)
+    amps = np.zeros((2,) * n + (batch,), dtype=complex)
+    amps[(0,) * n] = 1.0
+    # math.cos/sin, not numpy's, so the amplitudes follow the libm values of
+    # the exported angles; `turns` yields each rotation gate's (B,) row
+    angles = [g.theta for c in circuits for g in c.gates if g.kind == "rot"]
+    cos = np.fromiter(map(math.cos, angles), complex, len(angles))
+    sin = np.fromiter(map(math.sin, angles), complex, len(angles))
+    turns = zip(cos.reshape(batch, -1).T, sin.reshape(batch, -1).T)
+    for gate in circuits[0].gates:
+        _apply(amps, gate, *(next(turns) if gate.kind == "rot" else ()))
+    return amps.reshape(-1, batch).T
 
 
 def run_circuit(circuit: synth.Circuit) -> StateVector:
-    """Execute a circuit on |0...0>."""
-    state = StateVector.zero(circuit.qubit_count)
-    for gate in circuit.gates:
-        apply_gate(state, gate)
-    return state
+    """Execute a circuit on |0...0>: the one-circuit call of run_circuits."""
+    return StateVector(run_circuits([circuit])[0])
 
 
 def direct_expectation(state: StateVector, op: PauliString) -> complex:

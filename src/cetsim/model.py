@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -90,11 +91,7 @@ def spin_values(n: int) -> np.ndarray:
 
 def energy_table(params: ModelParams) -> np.ndarray:
     """Energies of all 2**n configurations, indexed by configuration."""
-    z = spin_values(params.n)
-    e = params.h * z.sum(axis=1)
-    for i, j in params.bonds():
-        e = e + params.J * z[:, i] * z[:, j]
-    return e
+    return gibbs_tables([params])[0][0]
 
 
 def _normalize_log_weights(
@@ -125,19 +122,29 @@ class GibbsTable:
     weights: np.ndarray
     log_partition: float
 
-    def __post_init__(self) -> None:
-        total = float(self.weights.sum())
+
+def gibbs_tables(params: Sequence[ModelParams]) -> tuple[np.ndarray, ...]:
+    """Energies and Gibbs weights, both (B, 2**n), and log Z (B,) of B points
+    of one topology and size; each row of weights must sum to one."""
+    first = params[0]
+    if any((p.topology, p.n) != (first.topology, first.n) for p in params):
+        raise DomainError("batched points must share topology and size")
+    z = spin_values(first.n)
+    J, h, beta = np.array([(p.J, p.h, p.beta) for p in params]).T[..., None]
+    e = h * z.sum(axis=1)
+    for i, j in first.bonds():
+        e = e + J * (z[:, i] * z[:, j])
+    weights, log_z = _normalize_log_weights(-beta * e)
+    for total in weights.sum(axis=1).tolist():
         if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:
             raise NumericError(f"Gibbs weights sum to {total}, expected 1")
+    return e, weights, log_z
 
 
 def gibbs_distribution(params: ModelParams) -> GibbsTable:
     """Exact Gibbs weights exp(-beta * E_k) / Z for every configuration."""
-    e = energy_table(params)
-    weights, log_z = _normalize_log_weights(-params.beta * e)
-    return GibbsTable(
-        params=params, energies=e, weights=weights, log_partition=float(log_z)
-    )
+    e, weights, log_z = gibbs_tables([params])
+    return GibbsTable(params, e[0], weights[0], float(log_z[0]))
 
 
 def cets_amplitudes(params: ModelParams) -> np.ndarray:
@@ -169,14 +176,14 @@ def exact_expectation(params: ModelParams, op) -> complex:
     return complex(np.vdot(psi, op.apply(psi)))
 
 
-def shannon_entropy(p: np.ndarray) -> float:
-    """-sum p ln p over non-negative populations, with 0 ln 0 = 0."""
-    return float(-(p * np.log(np.where(p > 0.0, p, 1.0))).sum())
+def shannon_entropy(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p over the last axis of non-negative populations, 0 ln 0 = 0."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
 def exact_entropy(params: ModelParams) -> float:
     """Shannon entropy -sum p ln p of the Gibbs distribution (units of k_B)."""
-    return shannon_entropy(gibbs_distribution(params).weights)
+    return float(shannon_entropy(gibbs_distribution(params).weights))
 
 
 @dataclass(frozen=True)
@@ -190,21 +197,6 @@ class ChainConditionals:
 
     params: ModelParams
     table: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    def weight(self, index: int) -> float:
-        """Gibbs probability of one configuration via the chain rule."""
-        n = self.n
-        if not 0 <= index < 1 << n:
-            raise DomainError(f"index {index} out of range for n = {n}")
-        bits = [(index >> (n - 1 - i)) & 1 for i in range(n)]
-        p = self.table[0, 0, bits[0]]
-        for i in range(1, n):
-            p *= self.table[i, bits[i - 1], bits[i]]
-        return float(p)
 
 
 def chain_conditionals(params: ModelParams) -> ChainConditionals:

@@ -245,18 +245,19 @@ def load_decay_table(path) -> dict[str, DecayProfile]:
     return table
 
 
-def clip_to_simplex(populations: np.ndarray) -> tuple[np.ndarray, float]:
+def clip_to_simplex(populations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero negative populations and renormalise, reporting the clipped mass.
 
-    The clipped mass is logged so silent repairs never happen; callers
-    that need strict positivity should raise instead of clipping.
+    Works on each row of (..., D) populations; every row's clipped mass is
+    returned and the largest is logged, so silent repairs never happen.
+    Callers that need strict positivity should raise instead.
     """
     p = np.asarray(populations, dtype=float)
-    clipped_mass = float(-p[p < 0.0].sum())
-    if clipped_mass > 0.0:
-        logger.info("clipped %.3e of negative population mass", clipped_mass)
-    q = np.clip(p, 0.0, None)
-    total = q.sum()
-    if total <= 0.0:
+    clipped_mass = -np.minimum(p, 0.0).sum(axis=-1)
+    if (clipped_mass > 0.0).any():
+        logger.info("clipped %.3e of negative population mass", clipped_mass.max())
+    q = np.maximum(p, 0.0)
+    total = q.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise NonPhysicalStateError("populations are entirely non-positive")
     return q / total, clipped_mass

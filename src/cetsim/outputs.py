@@ -53,21 +53,11 @@ def write_csv(dataset: sweep_mod.SweepDataset, path) -> None:
     lines = [CSV_HEADER]
     for row in dataset.rows:
         for res in row.results:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row.beta),
-                        _fmt(row.h),
-                        _fmt(row.J),
-                        _fmt(res.magnetization),
-                        _fmt(res.pair_correlation),
-                        _fmt(res.triple_correlation),
-                        _fmt(res.entropy),
-                        _fmt(row.log_partition),
-                        res.provenance,
-                    ]
-                )
+            numbers = (
+                row.beta, row.h, row.J, res.magnetization, res.pair_correlation,
+                res.triple_correlation, res.entropy, row.log_partition,
             )
+            lines.append(",".join([*map(_fmt, numbers), res.provenance]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -85,14 +75,13 @@ def _spec_payload(spec: sweep_mod.SweepSpec) -> dict:
                 for label, prof in sorted(spec.noise.decay.items())
             },
         }
-    # execution details (parallelism, out_dir) are omitted: the payload
-    # records only what determines the data
+    # parallelism is omitted: the payload records only what determines
+    # the data
     return {
         "betas": [float(b) for b in spec.betas],
         "fields": [float(h) for h in spec.fields],
         "J": float(spec.J),
         "noise": noise,
-        "seed": spec.seed,
     }
 
 

@@ -103,21 +103,11 @@ class PauliString:
             raise PauliParseError(
                 f"amplitude vector has shape {amplitudes.shape}, expected ({2**n},)"
             )
-        out = np.array(amplitudes, dtype=complex)
-        psi = out.reshape((2,) * n)
+        from . import engine, synth  # engine imports this module
+
+        state = engine.StateVector(np.array(amplitudes, dtype=complex))
         for site, letter in enumerate(self.letters):
-            if letter == "I":
-                continue
-            sel0 = (slice(None),) * site + (0,)
-            sel1 = (slice(None),) * site + (1,)
-            if letter == "Z":
-                psi[sel1] *= -1.0
-            elif letter == "X":
-                tmp = psi[sel0].copy()
-                psi[sel0] = psi[sel1]
-                psi[sel1] = tmp
-            else:  # Y
-                tmp = psi[sel0].copy()
-                psi[sel0] = -1j * psi[sel1]
-                psi[sel1] = 1j * tmp
-        return out
+            if letter != "I":
+                gate = synth.Gate(kind="pauli", target=site, letter=letter)
+                engine.apply_gate(state, gate)
+        return state.amplitudes

@@ -8,6 +8,10 @@ determine the eight diagonal entries of a three-spin density matrix:
 
 One sign table serves both directions: the readout of a population
 vector is SIGNS.T @ p, and reconstruction is p = (1 + SIGNS @ v) / 8.
+`readouts`, `invert`, `summaries` and `entropies` work over leading
+axes (points, stages) one row at a time, so a row's bits do not depend
+on its batch; `diagonal_readout`, `assemble_density`,
+`observables_summary` and `entropy` are their one-row calls.
 
 Probe readouts are complex; reconstruction uses the real parts and
 tracks the imaginary residuals, flagging any observable whose residual
@@ -80,13 +84,11 @@ class MeasurementSet:
             flags[label] = abs(v.imag) > IMAG_FLAG_FRACTION * abs(v)
         return flags
 
-    def scaled(self, factor) -> "MeasurementSet":
-        """Multiply each value by a scalar or per-label factor."""
-        if isinstance(factor, Mapping):
-            values = {lbl: self.value(lbl) * factor[lbl] for lbl in LABELS}
-        else:
-            values = {lbl: self.value(lbl) * factor for lbl in LABELS}
-        return MeasurementSet(values=values)
+
+def _check_sums(populations: np.ndarray) -> None:
+    for total in populations.sum(axis=-1).ravel().tolist():
+        if not abs(total - 1.0) <= 1e-9:
+            raise DomainError(f"populations sum to {total}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -99,52 +101,77 @@ class DiagonalDensity:
     def __post_init__(self) -> None:
         if self.populations.shape != (8,):
             raise DomainError("diagonal density needs exactly 8 populations")
-        total = float(self.populations.sum())
-        if not abs(total - 1.0) <= 1e-9:
-            raise DomainError(f"populations sum to {total}, expected 1")
+        _check_sums(self.populations)
 
     @property
     def is_physical(self) -> bool:
         return bool(np.all(self.populations >= -_STRICT_NEG_TOL))
 
 
+def readouts(populations: np.ndarray) -> np.ndarray:
+    """The seven diagonal expectations SIGNS.T @ p of (..., 8) populations."""
+    return np.matmul(SIGNS.T, np.asarray(populations)[..., None])[..., 0]
+
+
+def invert(values: np.ndarray) -> np.ndarray:
+    """Populations (1 + SIGNS @ v) / 8 of (..., 7) real readouts.
+
+    The inversion is linear and exact; negative populations are kept
+    as-is so the caller can see non-physical reconstructions.  Each row
+    must sum to one within 1e-9.
+    """
+    populations = (1.0 + np.matmul(SIGNS, values[..., None])[..., 0]) / 8.0
+    _check_sums(populations)
+    return populations
+
+
+def summaries(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Magnetisation, summed pair and triple correlation of (..., 7) real readouts."""
+    return (
+        values[..., 0] + values[..., 1] + values[..., 2],
+        values[..., 3] + values[..., 4] + values[..., 5],
+        values[..., 6],
+    )
+
+
+def entropies(populations: np.ndarray, policy: str = "strict") -> np.ndarray:
+    """Shannon entropy -sum p ln p of each row of (..., 8) populations.
+
+    policy "strict" raises on negative populations beyond rounding;
+    policy "clamp" zeroes them and renormalises (the clipped mass is
+    logged by the clipping utility).
+    """
+    p = populations
+    if policy == "strict":
+        if float(p.min()) < -_STRICT_NEG_TOL:
+            raise NonPhysicalStateError(
+                f"negative population {p.min():.3e}; use policy='clamp' to proceed"
+            )
+        p = np.maximum(p, 0.0)
+    elif policy == "clamp":
+        p, _ = clip_to_simplex(p)
+    else:
+        raise DomainError(f"unknown entropy policy {policy!r}")
+    return model.shannon_entropy(p)
+
+
 def diagonal_readout(populations: np.ndarray) -> MeasurementSet:
     """The seven diagonal expectations of a population vector, SIGNS.T @ p."""
-    values = SIGNS.T @ populations
+    values = readouts(populations)
     return MeasurementSet(values={lbl: complex(v) for lbl, v in zip(LABELS, values)})
 
 
 def assemble_density(
     measurements: MeasurementSet, provenance: str = "ideal"
 ) -> DiagonalDensity:
-    """Invert the readout set into populations (real parts only).
-
-    The inversion is linear and exact; negative populations are kept
-    as-is so the caller can see non-physical reconstructions.
-    """
-    populations = (1.0 + SIGNS @ measurements.real_vector()) / 8.0
+    """Invert the readout set into populations (real parts only)."""
+    populations = invert(measurements.real_vector())
     return DiagonalDensity(populations=populations, provenance=provenance)
 
 
 def entropy(density: DiagonalDensity, policy: str = "strict") -> float:
-    """Shannon entropy -sum p ln p of the populations.
-
-    policy "strict" raises on negative populations beyond rounding;
-    policy "clamp" zeroes them and renormalises (the clipped mass is
-    logged by the clipping utility).
-    """
-    p = density.populations
-    if policy == "strict":
-        if float(p.min()) < -_STRICT_NEG_TOL:
-            raise NonPhysicalStateError(
-                f"negative population {p.min():.3e}; use policy='clamp' to proceed"
-            )
-        p = np.clip(p, 0.0, None)
-    elif policy == "clamp":
-        p, _ = clip_to_simplex(p)
-    else:
-        raise DomainError(f"unknown entropy policy {policy!r}")
-    return model.shannon_entropy(p)
+    """Shannon entropy of one density's populations under `policy`."""
+    return float(entropies(density.populations, policy))
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -173,12 +200,7 @@ class ObservablesSummary:
 
 def observables_summary(measurements: MeasurementSet) -> ObservablesSummary:
     """Total magnetisation and summed correlations from the real parts."""
-    v = {label: measurements.value(label).real for label in LABELS}
-    return ObservablesSummary(
-        magnetization=v["Z1"] + v["Z2"] + v["Z3"],
-        pair_correlation=v["Z1Z2"] + v["Z2Z3"] + v["Z1Z3"],
-        triple_correlation=v["Z1Z2Z3"],
-    )
+    return ObservablesSummary(*map(float, summaries(measurements.real_vector())))
 
 
 def exact_measurement_set(params: model.ModelParams) -> MeasurementSet:

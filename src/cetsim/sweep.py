@@ -1,9 +1,9 @@
 """Phase-diagram sweeps: synthesise, simulate, measure, reconstruct.
 
-Each grid point runs the full pipeline: prepare the state once, read
-all seven diagonal observables from its populations, optionally apply
-a noise model and its partial reversal, and reconstruct populations,
-scalar observables and entropy for every provenance stage.
+One array pipeline serves every point: `run_sweep` simulates the whole
+grid in one `engine.run_circuits` pass and `run_point` is the same pass
+with B = 1.  `_stages` stacks the provenance stages (ideal, noisy,
+recovered) along a leading axis and reconstructs them all in one call.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -113,9 +111,9 @@ class SweepSpec:
     fields: tuple[float, ...]
     J: float = 1.0
     noise: NoiseOptions | None = None
+    #: Accepted and checked (>= 1) for callers; every sweep runs as one
+    #: batch in this process, so it changes nothing.
     parallelism: int = 1
-    seed: int | None = None
-    out_dir: str | None = None
     formats: tuple[str, ...] = ("csv",)
 
     def __post_init__(self) -> None:
@@ -136,42 +134,101 @@ class SweepDataset:
     rows: tuple[SweepRow, ...]
 
 
-def _stage_result(
-    provenance: str,
-    measurements: reconstruct.MeasurementSet,
-    entropy_policy: str,
-) -> PointResult:
-    density = reconstruct.assemble_density(measurements, provenance=provenance)
-    summary = reconstruct.observables_summary(measurements)
-    return PointResult(
-        provenance=provenance,
-        measurements=measurements,
-        populations=density.populations,
-        magnetization=summary.magnetization,
-        pair_correlation=summary.pair_correlation,
-        triple_correlation=summary.triple_correlation,
-        entropy=reconstruct.entropy(density, policy=entropy_policy),
-    )
+def _decay_factors(noise: NoiseOptions) -> np.ndarray:
+    return np.array([noise.decay[label].factor for label in reconstruct.LABELS])
 
 
-def _auto_lambda(noise: NoiseOptions) -> float:
+def _auto_lambda(noise: NoiseOptions) -> float | np.ndarray:
     """Estimated recovery factor for the active noise model.
 
     Depolarisation: sqrt(Tr rho_eps^2) of the depolarised prepared state,
     which for a pure state of dimension D is sqrt(eta^2 (1 - 1/D) + 1/D).
-    Per-observable decay: the isotropic component exp(-mean rate).  If
-    its inverse overflows, or any readout's decay factor underflows to 0,
-    there is nothing to recover and a DomainError is raised.
+    Per-observable decay: each readout's own decay factor, the exact
+    inverse of the modelled decay; a factor whose inverse overflows
+    leaves nothing to recover and raises DomainError.
     """
     if noise.eta is not None:
         d = len(reconstruct.SIGNS)
         return math.sqrt(noise.eta**2 * (1.0 - 1.0 / d) + 1.0 / d)
-    profiles = [noise.decay[label] for label in reconstruct.LABELS]
-    lam = math.exp(-sum(p.rate for p in profiles) / len(profiles))
-    if lam < 1.0 / sys.float_info.max or min(p.factor for p in profiles) == 0.0:
-        worst = max(p.rate for p in profiles)
-        raise DomainError(f"decay rate {worst:g} leaves nothing to recover")
-    return lam
+    factors = _decay_factors(noise)
+    for label, factor in zip(reconstruct.LABELS, factors):
+        if factor < 1.0 / sys.float_info.max:
+            rate = noise.decay[label].rate
+            raise DomainError(
+                f"decay rate {rate:g} of {label} leaves nothing to recover"
+            )
+    return factors
+
+
+def _stages(populations: np.ndarray, noise: NoiseOptions | None, shots, seed):
+    """Stage names, readouts (S, B, 7), populations (S, B, 8) and the M, C2,
+    C3 and S columns (S, B) from B points' (B, 8) populations.
+
+    Stages: ideal; noisy = ideal x eta or x each label's decay factor;
+    recovered = noisy x 1/lambda.  Sampled ideal readouts (`shots`) and
+    later stages reconstruct with policy "clamp", exact ones "strict".
+    """
+    names = (PROVENANCE_IDEAL,)
+    if noise is not None and noise.active:
+        names += (PROVENANCE_NOISY,)
+        if noise.recover is not None:
+            names += (PROVENANCE_RECOVERED,)
+    values = np.empty((len(names), len(populations), len(reconstruct.LABELS)), complex)
+    values[0] = reconstruct.readouts(populations)
+    if shots is not None:
+        values[0] = [
+            [
+                engine.sample_shots(v, shots, None if seed is None else seed + index)
+                for index, v in enumerate(row)
+            ]
+            for row in values[0].tolist()
+        ]
+    if len(names) > 1:
+        factor = noise.eta if noise.eta is not None else _decay_factors(noise)
+        np.multiply(values[0], factor, out=values[1])
+    if len(names) > 2:
+        lam = _auto_lambda(noise) if noise.recover == "auto" else float(noise.recover)
+        np.multiply(values[1], 1.0 / lam, out=values[2])
+    populations = reconstruct.invert(values.real)
+    entropy = np.empty(values.shape[:2])
+    ideal_policy = "strict" if shots is None else "clamp"
+    entropy[0] = reconstruct.entropies(populations[0], ideal_policy)
+    if len(names) > 1:
+        entropy[1:] = reconstruct.entropies(populations[1:], "clamp")
+    return names, values, populations, (*reconstruct.summaries(values.real), entropy)
+
+
+def _run(params, noise, shots=None, seed=None) -> list[SweepRow]:
+    """The pipeline over B points of one topology and size, one row each.
+
+    On a chain the readouts are those of the first three spins.
+    """
+    if params[0].n < 3:
+        raise TopologyError(f"the readout set needs 3 spins, model has {params[0].n}")
+    log_z = model.gibbs_tables(params)[2].tolist()
+    circuits = [synth.build_circuit(p) for p in params]
+    probabilities = abs(engine.run_circuits(circuits)) ** 2
+    for norm in np.sqrt(probabilities.sum(axis=1)).tolist():
+        if not abs(norm - 1.0) <= 1e-9:
+            raise NumericError(f"prepared state norm is {norm}, expected 1")
+    populations = probabilities.reshape(len(params), 8, -1).sum(axis=2)
+    names, values, populations, columns = _stages(populations, noise, shots, seed)
+    values = values.tolist()
+    m, c2, c3, entropy = [column.tolist() for column in columns]
+    rows = []
+    for b, p in enumerate(params):
+        # a list, not a generator expression: in CPython each generator left
+        # the collector's allocation count one higher, adding collections
+        results = [
+            PointResult(
+                name,
+                reconstruct.MeasurementSet(dict(zip(reconstruct.LABELS, values[s][b]))),
+                populations[s, b], m[s][b], c2[s][b], c3[s][b], entropy[s][b],
+            )
+            for s, name in enumerate(names)
+        ]
+        rows.append(SweepRow(p.beta, p.h, p.J, log_z[b], tuple(results)))
+    return rows
 
 
 def run_point(
@@ -180,64 +237,12 @@ def run_point(
     shots: int | None = None,
     seed: int | None = None,
 ) -> SweepRow:
-    """Run the full pipeline at a single parameter point.
+    """Run the full pipeline at one parameter point: a batch of one.
 
-    The preparation circuit runs once and every diagonal readout is read
-    from its populations; on a longer chain they are those of the first
-    three spins.  With `shots` the readouts are finite-sample estimates;
-    the readout at position `index` of LABELS draws from the stream
-    `seed + index`, as probe_expectation would.
+    With `shots` the ideal readouts are finite-sample estimates; the one
+    at position `index` of LABELS draws from the stream `seed + index`.
     """
-    if params.n < 3:
-        raise TopologyError(f"the readout set needs 3 spins, model has {params.n}")
-    table = model.gibbs_distribution(params)
-    state = engine.run_circuit(synth.build_circuit(params))
-    norm = state.norm()
-    if not abs(norm - 1.0) <= 1e-9:
-        raise NumericError(f"prepared state norm is {norm}, expected 1")
-    populations = state.probabilities().reshape(8, -1).sum(axis=1)
-    values = reconstruct.diagonal_readout(populations).values
-    if shots is not None:
-        values = {
-            label: engine.sample_shots(
-                values[label], shots, None if seed is None else seed + index
-            )
-            for index, label in enumerate(reconstruct.LABELS)
-        }
-    ideal = reconstruct.MeasurementSet(values=values)
-    results = [_stage_result(PROVENANCE_IDEAL, ideal, entropy_policy="strict")]
-
-    if noise is not None and noise.active:
-        if noise.eta is not None:
-            noisy_ms = ideal.scaled(noise.eta)
-        else:
-            factors = {label: noise.decay[label].factor for label in reconstruct.LABELS}
-            noisy_ms = ideal.scaled(factors)
-        results.append(_stage_result(PROVENANCE_NOISY, noisy_ms, entropy_policy="clamp"))
-        if noise.recover is not None:
-            lam = (
-                _auto_lambda(noise)
-                if noise.recover == "auto"
-                else float(noise.recover)
-            )
-            recovered_ms = noisy_ms.scaled(1.0 / lam)
-            results.append(
-                _stage_result(PROVENANCE_RECOVERED, recovered_ms, entropy_policy="clamp")
-            )
-
-    return SweepRow(
-        beta=params.beta,
-        h=params.h,
-        J=params.J,
-        log_partition=table.log_partition,
-        results=tuple(results),
-    )
-
-
-def _point_task(spec: SweepSpec, point: tuple[float, float]) -> SweepRow:
-    beta, h = point
-    params = model.ModelParams(J=spec.J, h=h, beta=beta)
-    return run_point(params, noise=spec.noise)
+    return _run([params], noise, shots, seed)[0]
 
 
 def check_writable(out_dir: str) -> None:
@@ -250,28 +255,10 @@ def check_writable(out_dir: str) -> None:
 
 
 def run_sweep(spec: SweepSpec) -> SweepDataset:
-    """Run every grid point, in row-major order, optionally in parallel.
-
-    Output paths are validated before any point is computed, so an
-    unwritable destination fails fast.  Parallel runs partition the grid
-    over at most `parallelism` processes, and no more than there are
-    points or CPUs, while preserving point order; the results are
-    bit-identical to a serial run.
-    """
-    if spec.out_dir is not None:
-        check_writable(spec.out_dir)
+    """Run every grid point, in row-major order, as one batch."""
     points = [(beta, h) for beta in spec.betas for h in spec.fields]
-    task = partial(_point_task, spec)
-    if spec.parallelism > 1:
-        # the pool forks every worker at the first submit, so start no
-        # more than there are points or CPUs to keep busy
-        workers = min(spec.parallelism, len(points), os.cpu_count() or 1)
-        chunk = max(1, len(points) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(task, points, chunksize=chunk))
-    else:
-        rows = tuple(task(point) for point in points)
-    return SweepDataset(spec=spec, rows=rows)
+    params = [model.ModelParams(J=spec.J, h=h, beta=beta) for beta, h in points]
+    return SweepDataset(spec=spec, rows=tuple(_run(params, spec.noise)))
 
 
 def magnetization_slice(dataset: SweepDataset, beta: float) -> np.ndarray:
@@ -287,5 +274,5 @@ def magnetization_slice(dataset: SweepDataset, beta: float) -> np.ndarray:
 
 
 def with_parallelism(spec: SweepSpec, parallelism: int) -> SweepSpec:
-    """The same spec with a different worker count (results must not change)."""
+    """The same spec with a different `parallelism` (results do not change)."""
     return replace(spec, parallelism=parallelism)

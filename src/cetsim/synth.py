@@ -121,16 +121,6 @@ class AngleSet:
     theta_1: float
     theta_2: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.theta_x,
-            self.theta_y,
-            self.theta_z,
-            self.theta_0,
-            self.theta_1,
-            self.theta_2,
-        )
-
 
 def cets_angles(params: model.ModelParams) -> AngleSet:
     """Rotation angles preparing the triangle's coherent Gibbs encoding."""
@@ -199,10 +189,6 @@ class Circuit:
                 raise DomainError(
                     f"gate touches qubit {max(touched)}, circuit has {self.qubit_count}"
                 )
-
-    @property
-    def rotation_count(self) -> int:
-        return sum(g.kind == "rot" for g in self.gates)
 
 
 def build_triangle_circuit(

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -150,8 +151,27 @@ class TestPoint:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_shot_noise_near_a_pure_state_is_clamped(self, capsys):
+        # sampled readouts of the cold triangle invert to slightly negative
+        # populations; they are estimates, so the ideal stage clamps them
+        code, out, err = run_cli(
+            ["point", "--beta", "11", "--h", "1", "--shots", "4096", "--seed", "1"],
+            capsys,
+        )
+        assert code == cli.EXIT_OK, err
+        assert out.count("[ideal]") == 1
+        assert "nan" not in out.lower()
+
 
 class TestSweep:
+    def test_seed_is_not_a_sweep_option(self, capsys):
+        # sweeps take no shots, so a seed could not change them
+        code, _, err = run_cli(
+            ["sweep", "--beta", "1", "--h", "0", "--seed", "1"], capsys
+        )
+        assert code == cli.EXIT_USAGE
+        assert "--seed" in err
+
     def test_grid_csv(self, capsys, tmp_path):
         code, out, _ = run_cli(
             ["sweep", "--beta", "1:2:2", "--h", "-1:1:3",
@@ -468,6 +488,23 @@ class TestExitCodeProperty:
 
 
 class TestModuleInvocation:
+    def test_cli_import_starts_no_process_machinery(self):
+        # sweeps run as one batch in-process; importing the CLI should not
+        # pay for a process pool
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = (
+            "import sys, cetsim.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_python_dash_m(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "cetsim", "point", "--beta", "2",

@@ -9,6 +9,7 @@ from cetsim.engine import (
     direct_expectation,
     probe_expectation,
     run_circuit,
+    run_circuits,
     sample_shots,
 )
 from cetsim.errors import DomainError
@@ -134,6 +135,33 @@ class TestRunCircuit:
         np.testing.assert_allclose(
             state.amplitudes.real, cets_amplitudes(params), atol=1e-12
         )
+
+
+class TestRunCircuits:
+    def test_batch_rows_equal_single_runs_bit_for_bit(self):
+        params = [
+            ModelParams(J=J, h=h, beta=beta)
+            for beta in (0.0, 0.4, 3.0, 50.0)
+            for h in (-2.0, 0.0, 2.0)
+            for J in (1.0, -0.7)
+        ]
+        circuits = [build_circuit(p, include_probe=True) for p in params]
+        batch = run_circuits(circuits)
+        assert batch.shape == (len(params), 16)
+        for row, circuit in zip(batch, circuits):
+            single = run_circuit(circuit).amplitudes
+            assert row.tobytes() == single.tobytes()
+
+    def test_batch_must_share_one_gate_shape(self):
+        params = ModelParams(J=1.0, h=0.5, beta=1.0)
+        a = build_triangle_circuit(params)
+        b = build_triangle_circuit(params, include_probe=True)
+        chain = build_chain_circuit(
+            ModelParams(J=1.0, h=0.5, beta=1.0, n=4, topology=CHAIN)
+        )
+        for circuits in ([a, b], [a, chain], []):
+            with pytest.raises(DomainError):
+                run_circuits(circuits)
 
 
 class TestDirectExpectation:

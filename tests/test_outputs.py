@@ -108,9 +108,8 @@ class TestJson:
         path = tmp_path / "sweep.json"
         write_json(noisy_dataset, path)
         spec = json.loads(path.read_text(encoding="utf-8"))["spec"]
-        assert set(spec) == {"betas", "fields", "J", "noise", "seed"}
+        assert set(spec) == {"betas", "fields", "J", "noise"}
         assert "parallelism" not in spec
-        assert "out_dir" not in spec
         assert spec["noise"]["eta"] == 0.8
         assert spec["noise"]["recover"] == 0.8
         assert spec["noise"]["decay"] is None

@@ -1,0 +1,101 @@
+"""Hypothesis properties over a wider domain than the fixed grids.
+
+Every strategy is derandomized and the example database is off, so a
+run is reproducible and the whole module stays within a few seconds.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cetsim.engine import run_circuit
+from cetsim.model import CHAIN, ModelParams, gibbs_distribution
+from cetsim.noise import DecayProfile
+from cetsim.reconstruct import LABELS
+from cetsim.sweep import NoiseOptions, SweepSpec, run_point, run_sweep
+from cetsim.synth import build_circuit
+
+_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+_BETA = st.one_of(st.just(0.0), st.floats(-12.0, 4.0).map(lambda e: 10.0**e))
+_J = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(0.05, 5.0)).map(
+    lambda pair: pair[0] * pair[1]
+)
+_H = st.floats(-50.0, 50.0)
+
+
+#: None draws the triangle, an integer an open chain of that many spins
+_CLUSTER = st.one_of(st.none(), st.integers(1, 9))
+
+
+def _params(beta, h, J, n):
+    if n is None:
+        return ModelParams(J=J, h=h, beta=beta)
+    return ModelParams(J=J, h=h, beta=beta, n=n, topology=CHAIN)
+
+
+class TestCircuitEqualsOracle:
+    @_SETTINGS
+    @given(_BETA, _H, _J, _CLUSTER)
+    def test_probabilities_match_gibbs_weights(self, beta, h, J, n):
+        params = _params(beta, h, J, n)
+        probs = run_circuit(build_circuit(params)).probabilities()
+        tol = 1e-10 if params.topology != CHAIN else 1e-8
+        assert np.abs(probs - gibbs_distribution(params).weights).max() <= tol
+
+
+def _assert_rows_close(left, right, tol=1e-12):
+    assert (left.beta, left.h, left.J) == (right.beta, right.h, right.J)
+    assert abs(left.log_partition - right.log_partition) <= tol * max(
+        1.0, abs(right.log_partition)
+    )
+    assert left.provenances == right.provenances
+    for a, b in zip(left.results, right.results):
+        for label in LABELS:
+            assert abs(a.measurements.value(label) - b.measurements.value(label)) <= tol
+        assert np.abs(a.populations - b.populations).max() <= tol
+        for name in ("magnetization", "pair_correlation", "triple_correlation"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= tol
+        assert abs(a.entropy - b.entropy) <= tol
+
+
+class TestSweepEqualsPoint:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(_BETA, min_size=1, max_size=4),
+        st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4),
+        _J,
+        st.floats(0.0, 1.0),
+    )
+    def test_rows_match_run_point_on_every_stage(self, betas, fields, J, eta):
+        noise = NoiseOptions(eta=eta, recover="auto")
+        dataset = run_sweep(
+            SweepSpec(betas=tuple(betas), fields=tuple(fields), J=J, noise=noise)
+        )
+        points = [(beta, h) for beta in betas for h in fields]
+        assert len(dataset.rows) == len(points)
+        for row, (beta, h) in zip(dataset.rows, points):
+            _assert_rows_close(row, run_point(ModelParams(J=J, h=h, beta=beta), noise))
+
+
+class TestAutoRecoveryIsBounded:
+    @_SETTINGS
+    @given(
+        _BETA,
+        st.floats(-6.0, 6.0),
+        _J,
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.lists(st.floats(0.0, 50.0), min_size=7, max_size=7),
+        ),
+    )
+    def test_recovered_readouts_are_expectations(self, beta, h, J, model):
+        if isinstance(model, list):
+            table = {label: DecayProfile(tau=tau) for label, tau in zip(LABELS, model)}
+            noise = NoiseOptions(decay=table, recover="auto")
+        else:
+            noise = NoiseOptions(eta=model, recover="auto")
+        row = run_point(ModelParams(J=J, h=h, beta=beta), noise)
+        recovered = row.results[-1]
+        for label in LABELS:
+            assert abs(recovered.measurements.value(label).real) <= 1.0 + 1e-12

@@ -11,10 +11,13 @@ from cetsim.reconstruct import (
     DiagonalDensity,
     MeasurementSet,
     assemble_density,
+    entropies,
     entropy,
     exact_measurement_set,
     fidelity,
+    invert,
     observables_summary,
+    readouts,
 )
 
 # Readout set measured on hardware at the (beta=11, h=1) calibration point,
@@ -71,15 +74,6 @@ class TestMeasurementSet:
         ms = uniform_set()
         assert not any(ms.imaginary_flags().values())
 
-    def test_scaling(self):
-        ms = measurement_set(HARDWARE_VALUES)
-        assert ms.scaled(0.5).value("Z1Z2Z3").real == pytest.approx(0.2555)
-        per_label = {label: 2.0 for label in LABELS}
-        per_label["Z1"] = 1.0
-        scaled = ms.scaled(per_label)
-        assert scaled.value("Z1").real == pytest.approx(-0.2497)
-        assert scaled.value("Z2").real == pytest.approx(-0.2416)
-
 
 class TestAssembleDensity:
     def test_uniform(self):
@@ -123,6 +117,28 @@ class TestAssembleDensity:
         noisy_imag = {label: complex(0.0, 0.3) for label in LABELS}
         density = assemble_density(MeasurementSet(values=noisy_imag))
         np.testing.assert_allclose(density.populations, 0.125, atol=1e-15)
+
+
+class TestBatchedRows:
+    def test_each_row_equals_its_one_row_call(self):
+        # one matrix-vector product per row: a row's bits do not depend on
+        # the batch around it
+        rng = np.random.default_rng(4)
+        populations = rng.dirichlet(np.full(8, 0.4), size=(3, 40))
+        values = readouts(populations)
+        assert values.shape == (3, 40, 7)
+        rebuilt = invert(values)
+        strict = entropies(rebuilt, "strict")
+        clamped = entropies(rebuilt - 0.01, "clamp")
+        for index in np.ndindex(3, 40):
+            v = values[index]
+            ms = measurement_set(dict(zip(LABELS, v)))
+            assert v.tobytes() == readouts(populations[index]).tobytes()
+            density = assemble_density(ms)
+            assert rebuilt[index].tobytes() == density.populations.tobytes()
+            assert strict[index] == entropy(density)
+            assert observables_summary(ms).magnetization == v[0] + v[1] + v[2]
+            assert clamped[index] == entropies(rebuilt[index] - 0.01, "clamp")
 
 
 class TestEntropy:

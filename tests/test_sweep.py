@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cetsim import engine, synth
+from cetsim import cli, engine, synth
 from cetsim import sweep as sweep_mod
 from cetsim.errors import DomainError, IncompleteSetError, TopologyError
 from cetsim.model import CHAIN, ModelParams, exact_entropy, exact_expectation
@@ -125,16 +125,34 @@ class TestRunPoint:
             expected = ideal.measurements.value(label) * table[label].factor
             assert noisy.measurements.value(label) == pytest.approx(expected, abs=1e-12)
 
-    def test_decay_auto_lambda_is_isotropic_component(self):
+    def test_decay_auto_recovers_each_label(self):
+        # auto recovery divides each readout by its own decay factor, the
+        # exact inverse of the modelled decay, so the ideal values return
         table = default_decay_table()
-        mean_tau = sum(table[label].tau for label in LABELS) / len(LABELS)
         row = run_point(
             triangle(11.0, 1.0), noise=NoiseOptions(decay=table, recover="auto")
         )
+        ideal = row.result(PROVENANCE_IDEAL)
         noisy = row.result(PROVENANCE_NOISY)
         rec = row.result(PROVENANCE_RECOVERED)
-        lam = math.exp(-mean_tau)
-        assert rec.magnetization == pytest.approx(noisy.magnetization / lam, abs=1e-12)
+        for label in LABELS:
+            expected = noisy.measurements.value(label) * (1.0 / table[label].factor)
+            assert rec.measurements.value(label) == expected
+            assert rec.measurements.value(label) == pytest.approx(
+                ideal.measurements.value(label), abs=1e-12
+            )
+        assert rec.magnetization == pytest.approx(ideal.magnetization, abs=1e-12)
+        assert rec.entropy == pytest.approx(ideal.entropy, abs=1e-9)
+
+    def test_decay_auto_bounded_for_anisotropic_table(self):
+        # one slow readout used to inflate every other one past [-1, 1]
+        table = dict(default_decay_table())
+        table["Z1Z3"] = DecayProfile(tau=30.0)
+        row = run_point(triangle(1.0, 0.3), NoiseOptions(decay=table, recover="auto"))
+        rec = row.result(PROVENANCE_RECOVERED)
+        for label in LABELS:
+            assert abs(rec.measurements.value(label).real) <= 1.0 + 1e-12
+        assert abs(rec.magnetization) <= 3.0 + 1e-12
 
     def test_decay_auto_lambda_rejects_underflow(self):
         table = dict(default_decay_table())
@@ -256,45 +274,21 @@ class TestRunSweep:
         )
         assert_rows_equal(serial.rows, parallel.rows)
 
-    @pytest.mark.parametrize(
-        "parallelism, points, cpus, workers, chunk",
-        [(2, 40, 2, 2, 5), (8, 1, 8, 1, 1), (8, 12, 3, 3, 1), (2, 40, None, 1, 10)],
-    )
-    def test_pool_sized_by_points_and_cpus(
-        self, monkeypatch, parallelism, points, cpus, workers, chunk
+    def test_unwritable_out_dir_fails_before_compute(
+        self, monkeypatch, tmp_path, capsys
     ):
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                started.append(chunksize)
-                return map(fn, items)
-
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
-        fields = tuple(float(h) for h in np.linspace(-1.0, 1.0, points))
-        spec = SweepSpec(betas=(1.0,), fields=fields, parallelism=parallelism)
-        dataset = run_sweep(spec)
-        assert started == [workers, chunk]
-        assert len(dataset.rows) == points
-
-    def test_unwritable_out_dir_fails_before_compute(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("in the way")
-        spec = SweepSpec(
-            betas=(1.0,), fields=(0.0,), out_dir=str(blocker / "sub")
+
+        def no_compute(spec):
+            raise AssertionError("the sweep ran before the destination was checked")
+
+        monkeypatch.setattr(sweep_mod, "run_sweep", no_compute)
+        code = cli.main(
+            ["sweep", "--beta", "1", "--h", "0", "--out-dir", str(blocker / "sub")]
         )
-        with pytest.raises(OSError):
-            run_sweep(spec)
+        assert code == cli.EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
 
 
 class TestPhaseStructure:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -82,11 +83,11 @@ class TestAngles:
     def test_all_in_first_quadrant(self):
         for beta in np.linspace(0.0, 11.0, 12):
             for h in np.linspace(-5.0, 5.0, 11):
-                for theta in cets_angles(params(float(beta), float(h))).as_tuple():
+                for theta in astuple(cets_angles(params(float(beta), float(h)))):
                     assert 0.0 <= theta <= math.pi / 2
 
     def test_beta_zero_gives_pi_over_four(self):
-        for theta in cets_angles(params(0.0, 1.0)).as_tuple():
+        for theta in astuple(cets_angles(params(0.0, 1.0))):
             assert theta == pytest.approx(math.pi / 4, abs=1e-12)
 
     def test_theta_1_at_zero_field(self):
@@ -150,7 +151,7 @@ class TestTriangleCircuit:
         circuit = build_triangle_circuit(params(11.0, 1.0))
         assert circuit.qubit_count == 3
         assert len(circuit.gates) == 7
-        assert circuit.rotation_count == 7
+        assert all(g.kind == "rot" for g in circuit.gates)
 
     def test_probe_prepends_hadamard(self):
         circuit = build_triangle_circuit(params(11.0, 1.0), include_probe=True)
@@ -184,7 +185,7 @@ class TestChainCircuit:
         circuit = build_chain_circuit(
             ModelParams(J=1.0, h=0.3, beta=2.0, n=n, topology=CHAIN)
         )
-        assert circuit.rotation_count == 2 * n - 1
+        assert all(g.kind == "rot" for g in circuit.gates)
         assert len(circuit.gates) == 2 * n - 1
 
     def test_capacity_limit(self):
