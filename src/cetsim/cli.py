@@ -212,9 +212,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fields=args.h,
         J=args.J,
         noise=_noise_options(args),
-        parallelism=args.parallel,
         formats=args.format,
     )
+    spec = sweep.with_parallelism(spec, args.parallel)
     plots = args.plot.split(",") if args.plot else None
     for token in plots or ():
         outputs.parse_plot_token(token)

@@ -5,8 +5,8 @@ bit of the state index, so for a three-spin circuit the index reads as
 the spin string b_1 b_2 b_3.
 
 One gate kernel acts in place, through views, on B registers held as
-a (2, ..., 2, B) array whose axis q is qubit q.  `run_circuits` runs B
-circuits of one gate shape at once; `run_circuit` is its B = 1 call.
+a (2, ..., 2, B) array whose axis q is qubit q.  `run_circuits` runs one
+circuit over B rows of angles at once; `run_circuit` is its B = 1 call.
 
 Readout of an operator U on a prepared state |psi> goes through an
 ancilla probe: the register is driven to (|0>|psi> + |1> U|psi>)/sqrt(2)
@@ -101,35 +101,34 @@ def apply_gate(state: StateVector, gate: synth.Gate) -> StateVector:
     return state
 
 
-def run_circuits(circuits: Sequence[synth.Circuit]) -> np.ndarray:
-    """Execute B circuits of one gate shape on |0...0>; (B, 2**n) amplitudes.
+def run_circuits(
+    circuit: synth.Circuit, angles: Sequence[Sequence[float]]
+) -> np.ndarray:
+    """Execute one circuit on |0...0> over B rows of angles; (B, 2**n) amplitudes.
 
-    The circuits must agree in qubit count and in every gate's kind,
-    target, controls and letter; only the rotation angles may differ.
+    Row b holds one angle per rotation gate, in gate order, for register
+    b; the gates' own angles are not read.
     """
-    shapes = {
-        (c.qubit_count, *((g.kind, g.target, g.controls, g.letter) for g in c.gates))
-        for c in circuits
-    }
-    if len(shapes) != 1:
-        raise DomainError("a batch needs one or more circuits of one gate shape")
-    n, batch = circuits[0].qubit_count, len(circuits)
+    width = len(circuit.angles)
+    if len(angles) == 0 or any(len(row) != width for row in angles):
+        raise DomainError(f"angles must be one or more rows of {width} values")
+    n, batch = circuit.qubit_count, len(angles)
     amps = np.zeros((2,) * n + (batch,), dtype=complex)
     amps[(0,) * n] = 1.0
     # math.cos/sin, not numpy's, so the amplitudes follow the libm values of
     # the exported angles; `turns` yields each rotation gate's (B,) row
-    angles = [g.theta for c in circuits for g in c.gates if g.kind == "rot"]
-    cos = np.fromiter(map(math.cos, angles), complex, len(angles))
-    sin = np.fromiter(map(math.sin, angles), complex, len(angles))
-    turns = zip(cos.reshape(batch, -1).T, sin.reshape(batch, -1).T)
-    for gate in circuits[0].gates:
+    flat = [theta for row in angles for theta in row]
+    cos = np.fromiter(map(math.cos, flat), complex, len(flat))
+    sin = np.fromiter(map(math.sin, flat), complex, len(flat))
+    turns = zip(cos.reshape(batch, width).T, sin.reshape(batch, width).T)
+    for gate in circuit.gates:
         _apply(amps, gate, *(next(turns) if gate.kind == "rot" else ()))
     return amps.reshape(-1, batch).T
 
 
 def run_circuit(circuit: synth.Circuit) -> StateVector:
-    """Execute a circuit on |0...0>: the one-circuit call of run_circuits."""
-    return StateVector(run_circuits([circuit])[0])
+    """Execute a circuit on |0...0>: the one-row call of run_circuits."""
+    return StateVector(run_circuits(circuit, [circuit.angles])[0])
 
 
 def direct_expectation(state: StateVector, op: PauliString) -> complex:

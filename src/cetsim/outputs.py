@@ -251,7 +251,7 @@ def write_line_plot(dataset: sweep_mod.SweepDataset, quantity: str, path) -> Non
 
     series = []
     for bi, beta in enumerate(dataset.spec.betas):
-        rows = [row for row in dataset.rows if row.beta == beta]
+        rows = dataset.beta_rows(bi)
         for provenance in rows[0].provenances:
             xs = [row.h for row in rows]
             ys = [getattr(row.result(provenance), attr) for row in rows]
@@ -308,10 +308,7 @@ def write_heatmap(
     attr, label = _QUANTITIES[quantity]
     betas = list(dataset.spec.betas)
     fields = list(dataset.spec.fields)
-    grid = {}
-    for row in dataset.rows:
-        grid[(row.beta, row.h)] = getattr(row.result(provenance), attr)
-    values = list(grid.values())
+    values = [getattr(row.result(provenance), attr) for row in dataset.rows]
     vlo, vhi = min(values), max(values)
     span = vhi - vlo if vhi != vlo else 1.0
 
@@ -323,16 +320,16 @@ def write_heatmap(
         f'<text class="title" x="{(x0 + x1) / 2:.2f}" y="22" '
         f'text-anchor="middle">{label} over (h, beta), {provenance}</text>'
     ]
-    # beta increases upward
-    for bi, beta in enumerate(betas):
-        for hi_, h in enumerate(fields):
-            t = (grid[(beta, h)] - vlo) / span
-            cx = x0 + hi_ * cell_w
-            cy = y0 - (bi + 1) * cell_h
-            body.append(
-                f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_w:.2f}" '
-                f'height="{cell_h:.2f}" fill="{_scale_color(t)}"/>'
-            )
+    # rows are row-major (beta outer); beta increases upward
+    for index, value in enumerate(values):
+        bi, hi_ = divmod(index, len(fields))
+        t = (value - vlo) / span
+        cx = x0 + hi_ * cell_w
+        cy = y0 - (bi + 1) * cell_h
+        body.append(
+            f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_w:.2f}" '
+            f'height="{cell_h:.2f}" fill="{_scale_color(t)}"/>'
+        )
     body += _axes(
         x0, y0, x1, y1,
         min(fields), max(fields), min(betas), max(betas),

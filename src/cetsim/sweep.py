@@ -1,9 +1,10 @@
 """Phase-diagram sweeps: synthesise, simulate, measure, reconstruct.
 
 One array pipeline serves every point: `run_sweep` simulates the whole
-grid in one `engine.run_circuits` pass and `run_point` is the same pass
-with B = 1.  `_stages` stacks the provenance stages (ideal, noisy,
-recovered) along a leading axis and reconstructs them all in one call.
+grid in one `engine.run_circuits` pass, one circuit over B rows of
+angles, and `run_point` is the same pass with B = 1.  `_stages` stacks
+the provenance stages (ideal, noisy, recovered) along a leading axis and
+reconstructs them all in one call.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -111,16 +112,11 @@ class SweepSpec:
     fields: tuple[float, ...]
     J: float = 1.0
     noise: NoiseOptions | None = None
-    #: Accepted and checked (>= 1) for callers; every sweep runs as one
-    #: batch in this process, so it changes nothing.
-    parallelism: int = 1
     formats: tuple[str, ...] = ("csv",)
 
     def __post_init__(self) -> None:
         if not self.betas or not self.fields:
             raise DomainError("sweep grids must be non-empty")
-        if self.parallelism < 1:
-            raise DomainError(f"parallelism must be >= 1, got {self.parallelism}")
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise DomainError(f"unknown output format {fmt!r}")
@@ -132,6 +128,11 @@ class SweepDataset:
 
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
+
+    def beta_rows(self, index: int) -> tuple[SweepRow, ...]:
+        """The rows of the grid's `index`-th beta, in h order."""
+        width = len(self.spec.fields)
+        return self.rows[index * width : (index + 1) * width]
 
 
 def _decay_factors(noise: NoiseOptions) -> np.ndarray:
@@ -201,13 +202,16 @@ def _stages(populations: np.ndarray, noise: NoiseOptions | None, shots, seed):
 def _run(params, noise, shots=None, seed=None) -> list[SweepRow]:
     """The pipeline over B points of one topology and size, one row each.
 
-    On a chain the readouts are those of the first three spins.
+    The points share one circuit, built for the first, and differ only in
+    its rotation angles.  On a chain the readouts are those of the first
+    three spins.
     """
     if params[0].n < 3:
         raise TopologyError(f"the readout set needs 3 spins, model has {params[0].n}")
     log_z = model.gibbs_tables(params)[2].tolist()
-    circuits = [synth.build_circuit(p) for p in params]
-    probabilities = abs(engine.run_circuits(circuits)) ** 2
+    circuit = synth.build_circuit(params[0])
+    angles = [circuit.angles, *map(synth.rotation_angles, params[1:])]
+    probabilities = abs(engine.run_circuits(circuit, angles)) ** 2
     for norm in np.sqrt(probabilities.sum(axis=1)).tolist():
         if not abs(norm - 1.0) <= 1e-9:
             raise NumericError(f"prepared state norm is {norm}, expected 1")
@@ -263,16 +267,15 @@ def run_sweep(spec: SweepSpec) -> SweepDataset:
 
 def magnetization_slice(dataset: SweepDataset, beta: float) -> np.ndarray:
     """Ideal-stage magnetisation along h at one beta of the grid."""
-    values = [
-        row.result(PROVENANCE_IDEAL).magnetization
-        for row in dataset.rows
-        if row.beta == beta
-    ]
-    if not values:
+    if beta not in dataset.spec.betas:
         raise DomainError(f"beta {beta} not on the sweep grid")
-    return np.array(values)
+    rows = dataset.beta_rows(dataset.spec.betas.index(beta))
+    return np.array([row.result(PROVENANCE_IDEAL).magnetization for row in rows])
 
 
 def with_parallelism(spec: SweepSpec, parallelism: int) -> SweepSpec:
-    """The same spec with a different `parallelism` (results do not change)."""
-    return replace(spec, parallelism=parallelism)
+    """`spec` itself once `parallelism` >= 1 is checked: every sweep runs as
+    one batch in this process, so the worker count changes nothing."""
+    if parallelism < 1:
+        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
+    return spec

@@ -190,71 +190,59 @@ class Circuit:
                     f"gate touches qubit {max(touched)}, circuit has {self.qubit_count}"
                 )
 
+    @property
+    def angles(self) -> list[float]:
+        """The rotation gates' angles in gate order: one row of engine.run_circuits."""
+        return [gate.theta for gate in self.gates if gate.kind == "rot"]
 
-def build_triangle_circuit(
-    params: model.ModelParams, include_probe: bool = False
-) -> Circuit:
-    """Seven-rotation preparation circuit for the frustrated triangle.
 
-    Qubits are the three spins in order; with include_probe an extra
-    qubit 0 is prepended in (|0> + |1>)/sqrt(2) and the spins shift to
-    qubits 1..3.
+def rotation_angles(params: model.ModelParams) -> list[float]:
+    """The rotation angles of a point's preparation circuit, in gate order.
+
+    The triangle's seven telescope the six angles of `cets_angles`; a
+    chain's 2n - 1 realise its nearest-neighbour conditionals, one
+    uncontrolled and one controlled rotation per site after the first.
     """
-    if params.topology != model.TRIANGLE:
-        raise TopologyError("build_triangle_circuit requires triangle topology")
-    a = cets_angles(params)
-    off = 1 if include_probe else 0
-    q1, q2, q3 = off, off + 1, off + 2
-    gates: list[Gate] = []
-    if include_probe:
-        gates.append(Gate(kind="h", target=0))
-    gates += [
-        Gate(kind="rot", target=q1, theta=a.theta_x),
-        Gate(kind="rot", target=q2, theta=a.theta_y),
-        Gate(kind="rot", target=q2, controls=(q1,), theta=a.theta_z - a.theta_y),
-        Gate(kind="rot", target=q3, theta=a.theta_0),
-        Gate(kind="rot", target=q3, controls=(q1,), theta=a.theta_1 - a.theta_0),
-        Gate(kind="rot", target=q3, controls=(q2,), theta=a.theta_1 - a.theta_0),
-        Gate(
-            kind="rot",
-            target=q3,
-            controls=(q1, q2),
-            theta=a.theta_2 - 2.0 * a.theta_1 + a.theta_0,
-        ),
-    ]
-    return Circuit(
-        qubit_count=3 + off,
-        gates=tuple(gates),
-        params=params,
-        include_probe=include_probe,
-    )
-
-
-def build_chain_circuit(
-    params: model.ModelParams, include_probe: bool = False
-) -> Circuit:
-    """(2n - 1)-rotation preparation circuit for an open chain.
-
-    Site i's angle pair realises the conditional split given site i - 1,
-    again telescoped into one uncontrolled and one controlled rotation.
-    """
-    if params.topology != model.CHAIN:
-        raise TopologyError("build_chain_circuit requires chain topology")
+    if params.topology == model.TRIANGLE:
+        a = cets_angles(params)
+        d1, d2 = a.theta_1 - a.theta_0, a.theta_2 - 2.0 * a.theta_1 + a.theta_0
+        return [a.theta_x, a.theta_y, a.theta_z - a.theta_y, a.theta_0, d1, d1, d2]
     if params.n > MAX_CHAIN:
         raise CapacityError(f"chains support n <= {MAX_CHAIN}, got {params.n}")
-    cond = model.chain_conditionals(params)
-    off = 1 if include_probe else 0
-    gates: list[Gate] = []
-    if include_probe:
-        gates.append(Gate(kind="h", target=0))
-    gates.append(Gate(kind="rot", target=off, theta=rotation_angle(cond.table[0, 0, 0])))
+    table = model.chain_conditionals(params).table
+    angles = [rotation_angle(table[0, 0, 0])]
     for i in range(1, params.n):
-        t0 = rotation_angle(cond.table[i, 0, 0])
-        t1 = rotation_angle(cond.table[i, 1, 0])
-        gates.append(Gate(kind="rot", target=off + i, theta=t0))
-        gates.append(
-            Gate(kind="rot", target=off + i, controls=(off + i - 1,), theta=t1 - t0)
-        )
+        t0 = rotation_angle(table[i, 0, 0])
+        angles += (t0, rotation_angle(table[i, 1, 0]) - t0)
+    return angles
+
+
+def _layout(params: model.ModelParams, off: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(target, controls) of each rotation, in the order of rotation_angles,
+    with the spins on qubits off, off + 1, ..."""
+    if params.topology == model.TRIANGLE:
+        q1, q2, q3 = off, off + 1, off + 2
+        return [(q1, ()), (q2, ()), (q2, (q1,)), (q3, ()), (q3, (q1,)), (q3, (q2,)),
+                (q3, (q1, q2))]
+    layout = [(off, ())]
+    for q in range(off + 1, off + params.n):
+        layout += ((q, ()), (q, (q - 1,)))
+    return layout
+
+
+def build_circuit(params: model.ModelParams, include_probe: bool = False) -> Circuit:
+    """Preparation circuit of a triangle or an open chain.
+
+    Qubits are the spins in order; with include_probe an extra qubit 0
+    is prepended in (|0> + |1>)/sqrt(2) and the spins shift up by one.
+    """
+    angles = rotation_angles(params)
+    off = 1 if include_probe else 0
+    gates = [Gate(kind="h", target=0)] if include_probe else []
+    gates += [
+        Gate(kind="rot", target=target, controls=controls, theta=theta)
+        for (target, controls), theta in zip(_layout(params, off), angles)
+    ]
     return Circuit(
         qubit_count=params.n + off,
         gates=tuple(gates),
@@ -263,11 +251,22 @@ def build_chain_circuit(
     )
 
 
-def build_circuit(params: model.ModelParams, include_probe: bool = False) -> Circuit:
-    """Dispatch on topology."""
-    if params.topology == model.TRIANGLE:
-        return build_triangle_circuit(params, include_probe)
-    return build_chain_circuit(params, include_probe)
+def build_triangle_circuit(
+    params: model.ModelParams, include_probe: bool = False
+) -> Circuit:
+    """Seven-rotation preparation circuit for the frustrated triangle."""
+    if params.topology != model.TRIANGLE:
+        raise TopologyError("build_triangle_circuit requires triangle topology")
+    return build_circuit(params, include_probe)
+
+
+def build_chain_circuit(
+    params: model.ModelParams, include_probe: bool = False
+) -> Circuit:
+    """(2n - 1)-rotation preparation circuit for an open chain."""
+    if params.topology != model.CHAIN:
+        raise TopologyError("build_chain_circuit requires chain topology")
+    return build_circuit(params, include_probe)
 
 
 def _format_float(value: float) -> str:

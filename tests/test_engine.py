@@ -15,7 +15,14 @@ from cetsim.engine import (
 from cetsim.errors import DomainError
 from cetsim.model import CHAIN, ModelParams, cets_amplitudes, exact_expectation, gibbs_distribution
 from cetsim.pauli import PauliString
-from cetsim.synth import Circuit, Gate, build_chain_circuit, build_circuit, build_triangle_circuit
+from cetsim.synth import (
+    Circuit,
+    Gate,
+    build_chain_circuit,
+    build_circuit,
+    build_triangle_circuit,
+    rotation_angles,
+)
 
 
 def rot(target, theta, controls=()):
@@ -137,31 +144,62 @@ class TestRunCircuit:
         )
 
 
+def probe_circuit(params, letters):
+    """A probe preparation circuit with `letters` applied under the probe."""
+    circuit = build_circuit(params, include_probe=True)
+    paulis = tuple(
+        Gate(kind="pauli", target=site + 1, controls=(0,), letter=letter)
+        for site, letter in enumerate(letters)
+        if letter != "I"
+    )
+    return Circuit(qubit_count=circuit.qubit_count, gates=circuit.gates + paulis)
+
+
 class TestRunCircuits:
+    @staticmethod
+    def assert_rows_equal_single_runs(circuits, angles):
+        # one circuit, the first, and each point's own angle row
+        batch = run_circuits(circuits[0], angles)
+        assert batch.shape == (len(circuits), 2 ** circuits[0].qubit_count)
+        for row, circuit in zip(batch, circuits):
+            assert row.tobytes() == run_circuit(circuit).amplitudes.tobytes()
+
     def test_batch_rows_equal_single_runs_bit_for_bit(self):
         params = [
-            ModelParams(J=J, h=h, beta=beta)
+            ModelParams(J=1.0, h=float(h), beta=float(beta))
+            for beta in np.linspace(0.5, 11.0, 23)
+            for h in np.linspace(-5.0, 5.0, 101)
+        ]
+        circuits = [build_circuit(p) for p in params]
+        self.assert_rows_equal_single_runs(circuits, list(map(rotation_angles, params)))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rows_equal_single_runs_on_chains(self, n):
+        params = [
+            ModelParams(J=J, h=h, beta=beta, n=n, topology=CHAIN)
+            for beta in (0.0, 0.7, 5.0)
+            for h in (-1.3, 0.4)
+            for J in (1.0, -0.6)
+        ]
+        circuits = [build_chain_circuit(p) for p in params]
+        self.assert_rows_equal_single_runs(circuits, list(map(rotation_angles, params)))
+
+    @pytest.mark.parametrize("letters", ["XIZ", "YYI", "ZXY"])
+    def test_rows_equal_single_runs_on_probe_circuits(self, letters):
+        circuits = [
+            probe_circuit(ModelParams(J=J, h=h, beta=beta), letters)
             for beta in (0.0, 0.4, 3.0, 50.0)
             for h in (-2.0, 0.0, 2.0)
             for J in (1.0, -0.7)
         ]
-        circuits = [build_circuit(p, include_probe=True) for p in params]
-        batch = run_circuits(circuits)
-        assert batch.shape == (len(params), 16)
-        for row, circuit in zip(batch, circuits):
-            single = run_circuit(circuit).amplitudes
-            assert row.tobytes() == single.tobytes()
+        self.assert_rows_equal_single_runs(circuits, [c.angles for c in circuits])
 
-    def test_batch_must_share_one_gate_shape(self):
-        params = ModelParams(J=1.0, h=0.5, beta=1.0)
-        a = build_triangle_circuit(params)
-        b = build_triangle_circuit(params, include_probe=True)
-        chain = build_chain_circuit(
-            ModelParams(J=1.0, h=0.5, beta=1.0, n=4, topology=CHAIN)
-        )
-        for circuits in ([a, b], [a, chain], []):
+    def test_angle_matrix_must_fit_the_circuit(self):
+        circuit = build_triangle_circuit(ModelParams(J=1.0, h=0.5, beta=1.0))
+        row = circuit.angles
+        for angles in ([row[:-1]], [row + [0.1]], [row, row[:-1]], [row[:-1], row], []):
             with pytest.raises(DomainError):
-                run_circuits(circuits)
+                run_circuits(circuit, angles)
 
 
 class TestDirectExpectation:

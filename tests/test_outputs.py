@@ -269,6 +269,14 @@ class TestSvg:
         assert 'stroke-dasharray="6,3"' in text
         assert 'stroke-dasharray="2,3"' in text
 
+    def test_duplicate_axis_values_keep_one_point_per_field(self, tmp_path):
+        spec = SweepSpec(betas=(1.0, 1.0), fields=(0.0, 0.5, 1.0))
+        path = tmp_path / "line.svg"
+        write_line_plot(run_sweep(spec), "M", path)
+        root = ET.fromstring(path.read_text(encoding="utf-8"))
+        lines = [el for el in root.iter() if el.tag.endswith("polyline")]
+        assert [len(el.get("points").split()) for el in lines] == [3, 3]
+
     def test_heatmap_well_formed(self, noisy_dataset, tmp_path):
         path = tmp_path / "heat.svg"
         write_heatmap(noisy_dataset, "M", "recovered", path)

@@ -16,8 +16,10 @@ from cetsim.sweep import (
     PROVENANCE_RECOVERED,
     NoiseOptions,
     SweepSpec,
+    magnetization_slice,
     run_point,
     run_sweep,
+    with_parallelism,
 )
 
 
@@ -203,6 +205,26 @@ class TestSinglePreparation:
         run_point(triangle(2.0, 0.5), noise=noise)
         assert built == [False]
 
+    def test_one_circuit_per_batch(self, monkeypatch):
+        built, angled = [], []
+        real_build, real_angles = synth.build_circuit, synth.rotation_angles
+
+        def counting_build(*args, **kwargs):
+            built.append(kwargs.get("include_probe", False))
+            return real_build(*args, **kwargs)
+
+        def counting_angles(params):
+            angled.append(params)
+            return real_angles(params)
+
+        monkeypatch.setattr(synth, "build_circuit", counting_build)
+        monkeypatch.setattr(synth, "rotation_angles", counting_angles)
+        spec = SweepSpec(betas=(0.5, 3.0, 11.0), fields=(-1.0, 0.0, 0.5, 2.0))
+        dataset = run_sweep(spec)
+        assert built == [False]
+        # each point's angles are formed once, the first point's by build_circuit
+        assert [(p.beta, p.h) for p in angled] == [(r.beta, r.h) for r in dataset.rows]
+
     def test_ideal_readouts_match_probe(self):
         for beta in (0.0, 0.7, 3.0, 11.0):
             for h in (-2.5, 0.0, 1.3):
@@ -240,9 +262,15 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(betas=(), fields=(1.0,))
 
-    def test_bad_parallelism(self):
+    def test_bad_parallelism(self, tmp_path, capsys):
+        spec = SweepSpec(betas=(1.0,), fields=(1.0,))
+        assert with_parallelism(spec, 1) is spec
         with pytest.raises(DomainError):
-            SweepSpec(betas=(1.0,), fields=(1.0,), parallelism=0)
+            with_parallelism(spec, 0)
+        argv = ["sweep", "--beta", "1", "--h", "0", "--out-dir", str(tmp_path)]
+        assert cli.main(argv + ["--parallel", "0"]) == cli.EXIT_USAGE
+        assert "parallelism must be >= 1" in capsys.readouterr().err
+        assert cli.main(argv + ["--parallel", "2"]) == cli.EXIT_OK
 
     def test_bad_format(self):
         with pytest.raises(DomainError):
@@ -270,7 +298,7 @@ class TestRunSweep:
         noise = NoiseOptions(eta=0.7, recover="auto")
         serial = run_sweep(SweepSpec(betas=betas, fields=fields, noise=noise))
         parallel = run_sweep(
-            SweepSpec(betas=betas, fields=fields, noise=noise, parallelism=4)
+            with_parallelism(SweepSpec(betas=betas, fields=fields, noise=noise), 4)
         )
         assert_rows_equal(serial.rows, parallel.rows)
 
@@ -289,6 +317,17 @@ class TestRunSweep:
         )
         assert code == cli.EXIT_IO
         assert "i/o error" in capsys.readouterr().err
+
+
+    def test_duplicate_axis_values_select_rows_by_position(self):
+        spec = SweepSpec(betas=(1.0, 1.0), fields=(0.0, 0.5, 1.0))
+        dataset = run_sweep(spec)
+        m = magnetization_slice(dataset, 1.0)
+        assert m.tolist() == [
+            row.result(PROVENANCE_IDEAL).magnetization for row in dataset.rows[:3]
+        ]
+        with pytest.raises(DomainError):
+            magnetization_slice(dataset, 2.0)
 
 
 class TestPhaseStructure:

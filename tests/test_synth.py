@@ -18,6 +18,7 @@ from cetsim.synth import (
     load_circuit,
     parse_circuit,
     rotation_angle,
+    rotation_angles,
     save_circuit,
 )
 
@@ -202,6 +203,25 @@ class TestChainCircuit:
         assert build_circuit(params(1.0, 0.0)).qubit_count == 3
         chain = ModelParams(J=1, h=0, beta=1, n=4, topology=CHAIN)
         assert build_circuit(chain).qubit_count == 4
+
+    def test_chain_layout(self):
+        chain = ModelParams(J=1.0, h=0.3, beta=2.0, n=4, topology=CHAIN)
+        gates = build_chain_circuit(chain, include_probe=True).gates[1:]
+        assert [(g.target, g.controls) for g in gates] == [
+            (1, ()), (2, ()), (2, (1,)), (3, ()), (3, (2,)), (4, ()), (4, (3,)),
+        ]
+
+
+class TestRotationAngles:
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_circuit_angles_are_rotation_angles(self, probe):
+        for p in (params(0.0, 1.0), params(7.3, -0.4),
+                  ModelParams(J=0.8, h=-0.4, beta=1.7, n=7, topology=CHAIN)):
+            assert build_circuit(p, include_probe=probe).angles == rotation_angles(p)
+
+    def test_capacity_limit(self):
+        with pytest.raises(CapacityError):
+            rotation_angles(ModelParams(J=1.0, h=0.0, beta=1.0, n=21, topology=CHAIN))
 
 
 class TestGateValidation:
