@@ -72,11 +72,12 @@ def _parse_recover(text: str):
 
 
 def _parse_formats(text: str) -> tuple[str, ...]:
-    formats = tuple(part.strip() for part in text.split(",") if part.strip())
+    """Each named format once, in the order `sweep.FORMATS` writes them."""
+    formats = [part.strip() for part in text.split(",") if part.strip()]
     for fmt in formats:
         if fmt not in sweep.FORMATS:
             raise argparse.ArgumentTypeError(f"unknown format {fmt!r}")
-    return formats
+    return tuple(fmt for fmt in sweep.FORMATS if fmt in formats)
 
 
 def _add_noise_arguments(parser: argparse.ArgumentParser) -> None:
@@ -199,7 +200,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
             betas=(args.beta,), fields=(args.h,), J=args.J,
             noise=noise_options, formats=args.format,
         )
-        dataset = sweep.SweepDataset(spec=spec, rows=(row,))
+        dataset = sweep.SweepDataset.from_rows(spec, (row,))
         for path in outputs.emit_outputs(dataset, args.format, args.out_dir):
             print(f"wrote {path}")
     return EXIT_OK
@@ -221,9 +222,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # an unwritable destination fails before any point is computed
     sweep.check_writable(out_dir)
     dataset = sweep.run_sweep(spec)
-    formats = args.format if args.plot is None else tuple({*args.format, "svg"})
-    # keep format order deterministic
-    formats = tuple(f for f in sweep.FORMATS if f in formats)
+    formats = args.format
+    if args.plot is not None and "svg" not in formats:
+        formats += ("svg",)  # the last of sweep.FORMATS, so the order holds
     for path in outputs.emit_outputs(dataset, formats, out_dir, plots=plots):
         print(f"wrote {path}")
     return EXIT_OK
@@ -343,7 +344,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
 
 # flags whose values may start with a minus sign (negative h, ranges, ...)
 _SIGNED_FLAGS = {"--h", "--beta", "--J"}
-_SIGNED_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)(:.*)?$")
+_SIGNED_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(:.*)?$")
 
 
 def _merge_signed_values(argv: list[str]) -> list[str]:

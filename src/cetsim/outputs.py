@@ -5,18 +5,21 @@ templates, never through locale- or platform-dependent paths, so two
 runs of the same sweep produce byte-identical files regardless of the
 worker count that computed them.
 
-`sweep.json` is streamed one grid row at a time through fixed `%`
-templates whose keys are already sorted; each number is spelled as
-`json` spells it, so the file is the one `json.dump(indent=2,
-sort_keys=True)` would write, without its pure-Python encoder.
+Every emitter reads the dataset's (stage, point) columns, never its
+per-point `rows` views.  `sweep.json` is streamed one beta's block of
+rows at a time through a fixed `%` template whose keys are already
+sorted; each number is spelled as `json` spells it, so the file is the
+one `json.dump(indent=2, sort_keys=True)` would write, without its
+pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import sweep as sweep_mod
 from .errors import DomainError
@@ -44,20 +47,23 @@ _QUANTITIES = {
 }
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_csv(dataset: sweep_mod.SweepDataset, path) -> None:
     """One line per (grid point, provenance stage)."""
-    lines = [CSV_HEADER]
-    for row in dataset.rows:
-        for res in row.results:
-            numbers = (
-                row.beta, row.h, row.J, res.magnetization, res.pair_correlation,
-                res.triple_correlation, res.entropy, row.log_partition,
-            )
-            lines.append(",".join([*map(_fmt, numbers), res.provenance]))
+    betas, fields, J = dataset.spec.betas, dataset.spec.fields, float(dataset.spec.J)
+    heads = [f"{float(b)!r},{float(h)!r},{J!r}," for b in betas for h in fields]
+    tails = [f",{z!r}," for z in dataset.log_partition.tolist()]
+    stages = []
+    for s, provenance in enumerate(dataset.provenances):
+        # M, C2, C3, S in CSV_HEADER's order, each column spelled in one pass
+        stats = zip(*(
+            map(float.__repr__, getattr(dataset, attr)[s].tolist())
+            for attr, _ in _QUANTITIES.values()
+        ))
+        stages.append([
+            head + ",".join(cells) + tail + provenance
+            for head, cells, tail in zip(heads, stats, tails)
+        ])
+    lines = [CSV_HEADER, *(line for point in zip(*stages) for line in point)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -83,19 +89,6 @@ def _spec_payload(spec: sweep_mod.SweepSpec) -> dict:
         "J": float(spec.J),
         "noise": noise,
     }
-
-
-def _numbers(values: list) -> list[str]:
-    """Scalars spelled as `json` spells them.
-
-    Finite floats go through float.__repr__ in one pass; a list holding
-    anything else (NaN, Infinity, an integer) goes through json.dumps.
-    """
-    try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:
-        return list(map(json.dumps, values))
-    return texts if all(map(math.isfinite, values)) else list(map(json.dumps, values))
 
 
 def _template(skeleton: dict, indent: int) -> str:
@@ -133,54 +126,62 @@ _ROW = _template(
 )
 
 
-def _stage_text(res: sweep_mod.PointResult) -> str:
-    values = [
-        res.pair_correlation,
-        res.triple_correlation,
-        res.magnetization,
-        res.entropy,
-    ]
-    for label in _OBSERVABLE_ORDER:
-        value = res.measurements.value(label)
-        values += (value.imag, value.real)
-    populations = _numbers(list(map(float, res.populations)))
-    return _STAGE % (
-        *_numbers(values), _list(populations, 10), json.dumps(res.provenance)
-    )
+def _slot_matrix(dataset: sweep_mod.SweepDataset) -> np.ndarray:
+    """(points, 1 + stages x 26): logZ, then per stage C2, C3, M, S, (imag,
+    real) per label in _OBSERVABLE_ORDER and the eight populations."""
+    stats = np.stack([dataset.pair_correlation, dataset.triple_correlation,
+                      dataset.magnetization, dataset.entropy], axis=-1)
+    values = dataset.values[..., [LABELS.index(label) for label in _OBSERVABLE_ORDER]]
+    parts = np.stack([values.imag, values.real], axis=-1).reshape(*stats.shape[:2], -1)
+    stages = np.concatenate([stats, parts, dataset.populations], axis=-1)
+    return np.hstack([dataset.log_partition[:, None], *stages])
 
 
 def write_json(dataset: sweep_mod.SweepDataset, path) -> None:
     """Full dataset, including raw complex readouts and populations.
 
     The bytes are those of json.dump(payload, indent=2, sort_keys=True)
-    plus a newline.  Each grid row is filled into fixed templates, with
-    every number spelled as `json` spells it, and written as it is
-    built, so the document is never held whole; only the spec block
-    goes through json.dumps.
+    plus a newline, with beta, h and J spelled from the spec's own values.
+    Each beta's block of rows is spelled in one pass over its slot matrix
+    and filled into one row template, whose slots follow the matrix, then
+    written, so the document is never held whole.
     """
     spec = json.dumps(_spec_payload(dataset.spec), indent=2, sort_keys=True)
+    numbers = ["%s"] * (4 + 2 * len(LABELS))
+    stages = [
+        _STAGE % (*numbers, _list(["%s"] * 8, 10), json.dumps(name).replace("%", "%%"))
+        for name in dataset.provenances
+    ]
+    template = _ROW % ("%s", "%s", "%s", "%s", _list(stages, 6))
+    J = json.dumps(dataset.spec.J)
+    fields = list(map(json.dumps, dataset.spec.fields))
+    matrix = _slot_matrix(dataset)
+    width = matrix.shape[1]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{\n  "rows": [')
-        separator = "\n    "
-        for row in dataset.rows:
-            results = _list([_stage_text(res) for res in row.results], 6)
-            scalars = _numbers([row.J, row.beta, row.h, row.log_partition])
-            fh.write(separator + _ROW % (*scalars, results))
-            separator = ",\n    "
-        fh.write("\n  ],\n" if dataset.rows else "],\n")
+        for bi, beta in enumerate(map(json.dumps, dataset.spec.betas)):
+            block = matrix[dataset.beta_points(bi)]
+            # json spells NaN and the infinities; float.__repr__ every finite float
+            spell = float.__repr__ if np.isfinite(block).all() else json.dumps
+            texts = list(map(spell, block.ravel().tolist()))
+            rows = [
+                template % (J, beta, h, *texts[i * width : (i + 1) * width])
+                for i, h in enumerate(fields)
+            ]
+            fh.write(("\n    " if bi == 0 else ",\n    ") + ",\n    ".join(rows))
+        fh.write("\n  ],\n")
         fh.write('  "spec": ' + spec.replace("\n", "\n  ") + "\n}\n")
 
 
-def _scale_color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    pos = t * (len(_SCALE) - 1)
-    i = min(int(pos), len(_SCALE) - 2)
-    frac = pos - i
-    rgb = [
-        round(255 * ((1.0 - frac) * _SCALE[i][k] + frac * _SCALE[i + 1][k]))
-        for k in range(3)
-    ]
-    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+def _scale_colors(t: np.ndarray) -> list[str]:
+    """The colour scale at each t, clipped to [0, 1]: linear between the
+    anchors, each channel rounded half to even."""
+    pos = np.minimum(np.maximum(t, 0.0), 1.0) * (len(_SCALE) - 1)
+    i = np.minimum(pos.astype(int), len(_SCALE) - 2)
+    frac = (pos - i)[:, None]
+    scale = np.array(_SCALE)
+    rgb = np.rint(255 * ((1.0 - frac) * scale[i] + frac * scale[i + 1])).astype(int)
+    return [f"rgb({r},{g},{b})" for r, g, b in rgb.tolist()]
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -249,18 +250,16 @@ def write_line_plot(dataset: sweep_mod.SweepDataset, quantity: str, path) -> Non
     width, height = 640, 420
     x0, y0, x1, y1 = 70.0, 360.0, 610.0, 40.0
 
-    series = []
-    for bi, beta in enumerate(dataset.spec.betas):
-        rows = dataset.beta_rows(bi)
-        for provenance in rows[0].provenances:
-            xs = [row.h for row in rows]
-            ys = [getattr(row.result(provenance), attr) for row in rows]
-            series.append((beta, provenance, _PALETTE[bi % len(_PALETTE)], xs, ys))
+    fields = list(dataset.spec.fields)
+    column = getattr(dataset, attr)
+    series = [
+        (beta, provenance, _PALETTE[bi % len(_PALETTE)], ys[dataset.beta_points(bi)])
+        for bi, beta in enumerate(dataset.spec.betas)
+        for provenance, ys in zip(dataset.provenances, column.tolist())
+    ]
 
-    all_x = [x for s in series for x in s[3]]
-    all_y = [y for s in series for y in s[4]]
-    xlo, xhi = min(all_x), max(all_x)
-    ylo, yhi = min(all_y), max(all_y)
+    xlo, xhi = min(fields), max(fields)
+    ylo, yhi = float(column.min()), float(column.max())
     if yhi == ylo:
         ylo, yhi = ylo - 0.5, yhi + 0.5
     pad = 0.05 * (yhi - ylo)
@@ -272,14 +271,15 @@ def write_line_plot(dataset: sweep_mod.SweepDataset, quantity: str, path) -> Non
     def py(y: float) -> float:
         return y0 + (y1 - y0) * (y - ylo) / (yhi - ylo)
 
+    xs = [f"{px(x):.2f}" for x in fields]
     body = [
         f'<text class="title" x="{(x0 + x1) / 2:.2f}" y="22" '
         f'text-anchor="middle">{ylabel} vs h</text>'
     ]
     body += _axes(x0, y0, x1, y1, xlo, xhi, ylo, yhi, "h (units of J)", ylabel)
     legend_y = 46.0
-    for beta, provenance, color, xs, ys in series:
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    for beta, provenance, color, ys in series:
+        points = " ".join(f"{x},{py(y):.2f}" for x, y in zip(xs, ys))
         dash = _DASHES.get(provenance, "")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         body.append(
@@ -308,8 +308,8 @@ def write_heatmap(
     attr, label = _QUANTITIES[quantity]
     betas = list(dataset.spec.betas)
     fields = list(dataset.spec.fields)
-    values = [getattr(row.result(provenance), attr) for row in dataset.rows]
-    vlo, vhi = min(values), max(values)
+    values = getattr(dataset, attr)[dataset.provenances.index(provenance)]
+    vlo, vhi = float(values.min()), float(values.max())
     span = vhi - vlo if vhi != vlo else 1.0
 
     width, height = 640, 420
@@ -320,16 +320,14 @@ def write_heatmap(
         f'<text class="title" x="{(x0 + x1) / 2:.2f}" y="22" '
         f'text-anchor="middle">{label} over (h, beta), {provenance}</text>'
     ]
-    # rows are row-major (beta outer); beta increases upward
-    for index, value in enumerate(values):
-        bi, hi_ = divmod(index, len(fields))
-        t = (value - vlo) / span
-        cx = x0 + hi_ * cell_w
-        cy = y0 - (bi + 1) * cell_h
-        body.append(
-            f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_w:.2f}" '
-            f'height="{cell_h:.2f}" fill="{_scale_color(t)}"/>'
-        )
+    # points are row-major (beta outer); beta increases upward
+    colors = _scale_colors((values - vlo) / span)
+    xs = [f'<rect x="{x0 + hi * cell_w:.2f}" y="' for hi in range(len(fields))]
+    size = f'" width="{cell_w:.2f}" height="{cell_h:.2f}" fill="'
+    for bi in range(len(betas)):
+        y = f"{y0 - (bi + 1) * cell_h:.2f}{size}"
+        row = colors[dataset.beta_points(bi)]
+        body += [f'{x}{y}{color}"/>' for x, color in zip(xs, row)]
     body += _axes(
         x0, y0, x1, y1,
         min(fields), max(fields), min(betas), max(betas),
@@ -338,12 +336,11 @@ def write_heatmap(
     # colour bar
     bar_x, bar_w = 585.0, 16.0
     steps = 24
-    for i in range(steps):
-        t = i / (steps - 1)
+    for i, color in enumerate(_scale_colors(np.arange(steps) / (steps - 1))):
         cy = y0 - (i + 1) * (y0 - y1) / steps
         body.append(
             f'<rect x="{bar_x:.2f}" y="{cy:.2f}" width="{bar_w:.2f}" '
-            f'height="{(y0 - y1) / steps:.2f}" fill="{_scale_color(t)}"/>'
+            f'height="{(y0 - y1) / steps:.2f}" fill="{color}"/>'
         )
     body.append(f'<text x="{bar_x:.2f}" y="{y0 + 14:.2f}">{vlo:.3g}</text>')
     body.append(f'<text x="{bar_x:.2f}" y="{y1 - 6:.2f}">{vhi:.3g}</text>')
@@ -366,7 +363,6 @@ def _plot_files(
     dataset: sweep_mod.SweepDataset, plots: Sequence[str], out_dir: str
 ) -> list[str]:
     written = []
-    provenances = dataset.rows[0].provenances
     for token in plots:
         quantity, kind = parse_plot_token(token)
         if kind == "-vs-h":
@@ -374,7 +370,7 @@ def _plot_files(
             write_line_plot(dataset, quantity, path)
             written.append(path)
         else:
-            for provenance in provenances:
+            for provenance in dataset.provenances:
                 suffix = provenance.replace("simulated-", "")
                 path = os.path.join(out_dir, f"heatmap_{quantity}_{suffix}.svg")
                 write_heatmap(dataset, quantity, provenance, path)

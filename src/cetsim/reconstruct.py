@@ -31,6 +31,7 @@ from .noise import DensityMatrix, clip_to_simplex
 
 #: The diagonal readout set, in canonical order.
 LABELS = ("Z1", "Z2", "Z3", "Z1Z2", "Z2Z3", "Z1Z3", "Z1Z2Z3")
+_LABEL_SET = frozenset(LABELS)
 
 _SITES = {
     "Z1": (0,),
@@ -62,12 +63,13 @@ class MeasurementSet:
     values: Mapping[str, complex]
 
     def __post_init__(self) -> None:
+        if self.values.keys() == _LABEL_SET:
+            return
         missing = [label for label in LABELS if label not in self.values]
         if missing:
             raise IncompleteSetError(f"missing observables: {', '.join(missing)}")
         extra = [label for label in self.values if label not in LABELS]
-        if extra:
-            raise DomainError(f"unexpected observables: {', '.join(extra)}")
+        raise DomainError(f"unexpected observables: {', '.join(extra)}")
 
     def value(self, label: str) -> complex:
         return complex(self.values[label])

@@ -5,6 +5,9 @@ grid in one `engine.run_circuits` pass, one circuit over B rows of
 angles, and `run_point` is the same pass with B = 1.  `_stages` stacks
 the provenance stages (ideal, noisy, recovered) along a leading axis and
 reconstructs them all in one call.
+
+A `SweepDataset` keeps the result as (stage, point) columns; `SweepRow`,
+`PointResult` and `MeasurementSet` are per-point views built on request.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Mapping
+from operator import attrgetter
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +31,9 @@ PROVENANCE_RECOVERED = "recovered"
 
 #: Output formats, in the order they are written.
 FORMATS = ("csv", "json", "svg")
+
+#: The per-stage summary columns of a dataset, in `PointResult` order.
+_SUMMARIES = ("magnetization", "pair_correlation", "triple_correlation", "entropy")
 
 
 @dataclass(frozen=True)
@@ -124,15 +131,71 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepDataset:
-    """Sweep results in row-major (beta outer, h inner) order."""
+    """Sweep results as (stage, point) columns, points in row-major (beta
+    outer, h inner) order: log Z (B,), readouts `values` (S, B, 7),
+    `populations` (S, B, 8) and the summaries (S, B)."""
 
     spec: SweepSpec
-    rows: tuple[SweepRow, ...]
+    provenances: tuple[str, ...]
+    log_partition: np.ndarray
+    values: np.ndarray
+    populations: np.ndarray
+    magnetization: np.ndarray
+    pair_correlation: np.ndarray
+    triple_correlation: np.ndarray
+    entropy: np.ndarray
 
-    def beta_rows(self, index: int) -> tuple[SweepRow, ...]:
-        """The rows of the grid's `index`-th beta, in h order."""
+    def __post_init__(self) -> None:
+        points = len(self.spec.betas) * len(self.spec.fields)
+        if len(self.log_partition) != points:
+            raise DomainError(f"{len(self.log_partition)} rows for {points} points")
+
+    @classmethod
+    def from_rows(cls, spec: SweepSpec, rows: Sequence[SweepRow]) -> SweepDataset:
+        """The columns of per-point rows in row-major grid order, each with
+        the first row's stages; beta, h and J are read from `spec`."""
+        stages = rows[0].provenances if rows else ()
+        if any(row.provenances != stages for row in rows):
+            raise DomainError("rows must share one list of provenance stages")
+
+        def column(read, dtype=float, *shape):
+            items = np.array([read(res) for row in rows for res in row.results], dtype)
+            return np.moveaxis(items.reshape(len(rows), len(stages), *shape), 0, 1)
+
+        return cls(
+            spec, stages, np.array([row.log_partition for row in rows], float),
+            column(lambda res: [*map(res.measurements.value, reconstruct.LABELS)],
+                   complex, 7),
+            column(attrgetter("populations"), float, 8),
+            *[column(attrgetter(name)) for name in _SUMMARIES],
+        )
+
+    def row(self, b: int) -> SweepRow:
+        """The per-point view of the grid's `b`-th point."""
+        per_stage = zip(
+            self.provenances, self.values[:, b].tolist(), self.populations[:, b],
+            *[getattr(self, name)[:, b].tolist() for name in _SUMMARIES],
+        )
+        labels, measured = reconstruct.LABELS, reconstruct.MeasurementSet
+        results = [
+            PointResult(name, measured(dict(zip(labels, v))), p, *stats)
+            for name, v, p, *stats in per_stage
+        ]
         width = len(self.spec.fields)
-        return self.rows[index * width : (index + 1) * width]
+        return SweepRow(
+            self.spec.betas[b // width], self.spec.fields[b % width], self.spec.J,
+            float(self.log_partition[b]), tuple(results),
+        )
+
+    @property
+    def rows(self) -> tuple[SweepRow, ...]:
+        """Per-point views of every grid point, in row-major order."""
+        return tuple(map(self.row, range(len(self.log_partition))))
+
+    def beta_points(self, index: int) -> slice:
+        """The points of the grid's `index`-th beta, in h order."""
+        width = len(self.spec.fields)
+        return slice(index * width, (index + 1) * width)
 
 
 def _decay_factors(noise: NoiseOptions) -> np.ndarray:
@@ -199,8 +262,8 @@ def _stages(populations: np.ndarray, noise: NoiseOptions | None, shots, seed):
     return names, values, populations, (*reconstruct.summaries(values.real), entropy)
 
 
-def _run(params, noise, shots=None, seed=None) -> list[SweepRow]:
-    """The pipeline over B points of one topology and size, one row each.
+def _run(spec: SweepSpec, params, shots=None, seed=None) -> SweepDataset:
+    """The pipeline over B points of one topology and size, as columns.
 
     The points share one circuit, built for the first, and differ only in
     its rotation angles.  On a chain the readouts are those of the first
@@ -208,7 +271,7 @@ def _run(params, noise, shots=None, seed=None) -> list[SweepRow]:
     """
     if params[0].n < 3:
         raise TopologyError(f"the readout set needs 3 spins, model has {params[0].n}")
-    log_z = model.gibbs_tables(params)[2].tolist()
+    log_z = model.gibbs_tables(params)[2]
     circuit = synth.build_circuit(params[0])
     angles = [circuit.angles, *map(synth.rotation_angles, params[1:])]
     probabilities = abs(engine.run_circuits(circuit, angles)) ** 2
@@ -216,23 +279,8 @@ def _run(params, noise, shots=None, seed=None) -> list[SweepRow]:
         if not abs(norm - 1.0) <= 1e-9:
             raise NumericError(f"prepared state norm is {norm}, expected 1")
     populations = probabilities.reshape(len(params), 8, -1).sum(axis=2)
-    names, values, populations, columns = _stages(populations, noise, shots, seed)
-    values = values.tolist()
-    m, c2, c3, entropy = [column.tolist() for column in columns]
-    rows = []
-    for b, p in enumerate(params):
-        # a list, not a generator expression: in CPython each generator left
-        # the collector's allocation count one higher, adding collections
-        results = [
-            PointResult(
-                name,
-                reconstruct.MeasurementSet(dict(zip(reconstruct.LABELS, values[s][b]))),
-                populations[s, b], m[s][b], c2[s][b], c3[s][b], entropy[s][b],
-            )
-            for s, name in enumerate(names)
-        ]
-        rows.append(SweepRow(p.beta, p.h, p.J, log_z[b], tuple(results)))
-    return rows
+    names, values, populations, columns = _stages(populations, spec.noise, shots, seed)
+    return SweepDataset(spec, names, log_z, values, populations, *columns)
 
 
 def run_point(
@@ -246,7 +294,8 @@ def run_point(
     With `shots` the ideal readouts are finite-sample estimates; the one
     at position `index` of LABELS draws from the stream `seed + index`.
     """
-    return _run([params], noise, shots, seed)[0]
+    spec = SweepSpec(betas=(params.beta,), fields=(params.h,), J=params.J, noise=noise)
+    return _run(spec, [params], shots, seed).row(0)
 
 
 def check_writable(out_dir: str) -> None:
@@ -262,15 +311,15 @@ def run_sweep(spec: SweepSpec) -> SweepDataset:
     """Run every grid point, in row-major order, as one batch."""
     points = [(beta, h) for beta in spec.betas for h in spec.fields]
     params = [model.ModelParams(J=spec.J, h=h, beta=beta) for beta, h in points]
-    return SweepDataset(spec=spec, rows=tuple(_run(params, spec.noise)))
+    return _run(spec, params)
 
 
 def magnetization_slice(dataset: SweepDataset, beta: float) -> np.ndarray:
     """Ideal-stage magnetisation along h at one beta of the grid."""
     if beta not in dataset.spec.betas:
         raise DomainError(f"beta {beta} not on the sweep grid")
-    rows = dataset.beta_rows(dataset.spec.betas.index(beta))
-    return np.array([row.result(PROVENANCE_IDEAL).magnetization for row in rows])
+    ideal = dataset.magnetization[dataset.provenances.index(PROVENANCE_IDEAL)]
+    return ideal[dataset.beta_points(dataset.spec.betas.index(beta))].copy()
 
 
 def with_parallelism(spec: SweepSpec, parallelism: int) -> SweepSpec:

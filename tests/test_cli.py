@@ -37,6 +37,35 @@ class TestPoint:
         assert code == cli.EXIT_OK
         assert "h=-1.5" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, shown",
+        [("--h", "-1e-3", "h=-0.001"), ("--J", "-1E2", "J=-100"),
+         ("--beta", "-1e0", None)],
+    )
+    def test_negative_values_with_an_exponent(self, capsys, flag, value, shown):
+        argv = {"--beta": "1", "--h": "0", "--J": "1", flag: value}
+        code, out, err = run_cli(
+            ["point", *(token for item in argv.items() for token in item)], capsys
+        )
+        if shown is None:
+            # parsed as a value, then rejected by the model's domain check
+            assert code == cli.EXIT_USAGE
+            assert "beta must be >= 0" in err
+        else:
+            assert code == cli.EXIT_OK
+            assert shown in out
+
+    def test_repeated_formats_written_once_in_order(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            ["point", "--beta", "1", "--h", "0", "--out-dir", str(tmp_path),
+             "--format", "json,csv,csv,json"],
+            capsys,
+        )
+        assert code == cli.EXIT_OK
+        wrote = [line.rsplit("/", 1)[1] for line in out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == ["sweep.csv", "sweep.json"]
+
     def test_noise_stages_reported(self, capsys):
         code, out, _ = run_cli(
             ["point", "--beta", "2", "--h", "0.5", "--eta", "0.8",
@@ -193,6 +222,17 @@ class TestSweep:
         assert code == cli.EXIT_OK
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 13
+
+    def test_signed_exponent_range_value(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            ["sweep", "--beta", "1", "--h", "-1e300:1e300:3",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == cli.EXIT_OK
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        fields = [line.split(",")[1] for line in lines[1:]]
+        assert fields == ["-1e+300", "0.0", "1e+300"]
 
     def test_plot_flag_forces_svg(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -10,6 +10,8 @@ from cetsim.model import ModelParams
 from cetsim.noise import default_decay_table
 from cetsim.outputs import (
     CSV_HEADER,
+    _SCALE,
+    _scale_colors,
     _spec_payload,
     default_plots,
     emit_outputs,
@@ -77,6 +79,23 @@ class TestCsv:
             assert float(cells[1]) == row.h
             assert float(cells[3]) == row.results[0].magnetization
             assert float(cells[7]) == row.log_partition
+
+    def test_matches_row_loop(self, noisy_dataset, tmp_path):
+        for dataset in (noisy_dataset, _decay_t1(), _shots(), _integer_inputs()):
+            write_csv(dataset, tmp_path / "sweep.csv")
+            expected = [CSV_HEADER]
+            for row in dataset.rows:
+                for res in row.results:
+                    numbers = (
+                        row.beta, row.h, row.J, res.magnetization,
+                        res.pair_correlation, res.triple_correlation, res.entropy,
+                        row.log_partition,
+                    )
+                    expected.append(
+                        ",".join([*(repr(float(x)) for x in numbers), res.provenance])
+                    )
+            text = (tmp_path / "sweep.csv").read_text(encoding="utf-8")
+            assert text == "\n".join(expected) + "\n"
 
     def test_unix_newlines_and_trailing_newline(self, ideal_dataset, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -187,7 +206,7 @@ def _shots():
     )
     assert any(res.measurements.value("Z1").imag != 0.0 for res in row.results)
     spec = SweepSpec(betas=(0.3,), fields=(0.2,), noise=noise)
-    return SweepDataset(spec=spec, rows=(row,))
+    return SweepDataset.from_rows(spec, (row,))
 
 
 def _integer_inputs():
@@ -207,11 +226,8 @@ def _special_floats():
         entropy=-math.inf,
     )
     row = SweepRow(beta=1.0, h=-0.0, J=-1.0, log_partition=math.nan, results=(res,))
-    return SweepDataset(spec=SweepSpec(betas=(1.0,), fields=(-0.0,)), rows=(row,))
-
-
-def _no_rows():
-    return SweepDataset(spec=SweepSpec(betas=(1.0,), fields=(0.0,)), rows=())
+    spec = SweepSpec(betas=(1.0,), fields=(-0.0,), J=-1.0)
+    return SweepDataset.from_rows(spec, (row,))
 
 
 class TestJsonBytes:
@@ -224,11 +240,10 @@ class TestJsonBytes:
             _shots,
             _integer_inputs,
             _special_floats,
-            _no_rows,
         ],
         ids=[
             "ideal", "eta-auto", "decay-t1", "shots", "integer-inputs",
-            "special-floats", "no-rows",
+            "special-floats",
         ],
     )
     def test_matches_json_dump(self, build, tmp_path):
@@ -247,6 +262,40 @@ class TestJsonBytes:
         write_json(_decay_t1(), tmp_path / "sweep.json")
         spec = json.loads((tmp_path / "sweep.json").read_text())["spec"]
         assert spec["noise"]["decay"]["Z1"]["t1"] == 3.0
+
+
+class TestFromRows:
+    PLOTS = [
+        f"{q}-{kind}" for q in ("M", "C2", "C3", "S") for kind in ("vs-h", "heatmap")
+    ]
+
+    @pytest.mark.parametrize(
+        "build", [_eta_auto, _decay_t1], ids=["eta-auto", "decay-t1"]
+    )
+    def test_row_views_round_trip_to_the_same_bytes(self, build, tmp_path):
+        dataset = build()
+        rebuilt = SweepDataset.from_rows(dataset.spec, dataset.rows)
+        formats = ["csv", "json", "svg"]
+        paths = emit_outputs(dataset, formats, str(tmp_path / "a"), plots=self.PLOTS)
+        again = emit_outputs(rebuilt, formats, str(tmp_path / "b"), plots=self.PLOTS)
+        assert len(paths) == 2 + 4 + 4 * 3  # csv, json, line plots, heatmaps
+        names = [p.rsplit("/", 1)[1] for p in paths]
+        assert names == [p.rsplit("/", 1)[1] for p in again]
+        for pa, pb in zip(paths, again):
+            with open(pa, "rb") as fa, open(pb, "rb") as fb:
+                assert fa.read() == fb.read()
+
+    def test_rows_must_fill_the_grid(self, noisy_dataset):
+        spec = noisy_dataset.spec
+        with pytest.raises(DomainError):
+            SweepDataset.from_rows(SweepSpec(betas=(1.0,), fields=(0.0,)), ())
+        with pytest.raises(DomainError):
+            SweepDataset.from_rows(spec, noisy_dataset.rows[:-1])
+        mixed = noisy_dataset.rows[:-1] + run_sweep(
+            SweepSpec(betas=(2.0,), fields=(1.0,))
+        ).rows
+        with pytest.raises(DomainError):
+            SweepDataset.from_rows(spec, mixed)
 
 
 class TestSvg:
@@ -276,6 +325,22 @@ class TestSvg:
         root = ET.fromstring(path.read_text(encoding="utf-8"))
         lines = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert [len(el.get("points").split()) for el in lines] == [3, 3]
+
+    def test_colors_match_scalar_scale(self):
+        def scale_color(t):
+            # the per-cell form the heatmaps used before they coloured columns
+            t = min(max(t, 0.0), 1.0)
+            pos = t * (len(_SCALE) - 1)
+            i = min(int(pos), len(_SCALE) - 2)
+            frac = pos - i
+            rgb = [
+                round(255 * ((1.0 - frac) * _SCALE[i][k] + frac * _SCALE[i + 1][k]))
+                for k in range(3)
+            ]
+            return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+
+        t = np.concatenate([np.linspace(-0.2, 1.2, 50001), np.arange(24) / 23])
+        assert _scale_colors(t) == [scale_color(x) for x in t.tolist()]
 
     def test_heatmap_well_formed(self, noisy_dataset, tmp_path):
         path = tmp_path / "heat.svg"

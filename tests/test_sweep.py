@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cetsim import cli, engine, synth
+from cetsim import cli, engine, reconstruct, synth
 from cetsim import sweep as sweep_mod
 from cetsim.errors import DomainError, IncompleteSetError, TopologyError
 from cetsim.model import CHAIN, ModelParams, exact_entropy, exact_expectation
 from cetsim.pauli import PauliString
 from cetsim.noise import DecayProfile, default_decay_table
+from cetsim.outputs import emit_outputs
 from cetsim.reconstruct import LABELS
 from cetsim.sweep import (
     PROVENANCE_IDEAL,
@@ -224,6 +225,28 @@ class TestSinglePreparation:
         assert built == [False]
         # each point's angles are formed once, the first point's by build_circuit
         assert [(p.beta, p.h) for p in angled] == [(r.beta, r.h) for r in dataset.rows]
+
+    def test_sweep_and_emitters_build_no_per_point_objects(
+        self, monkeypatch, tmp_path
+    ):
+        made = []
+        views = ((sweep_mod, "PointResult"), (reconstruct, "MeasurementSet"))
+        for owner, name in views:
+            def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                made.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        noise = NoiseOptions(eta=0.7, recover="auto")
+        spec = SweepSpec(
+            betas=(0.5, 3.0, 11.0), fields=(-1.0, 0.0, 0.5, 2.0), noise=noise
+        )
+        dataset = run_sweep(spec)
+        emit_outputs(dataset, ("csv", "json", "svg"), str(tmp_path))
+        assert made == []
+        # the per-point views are still built on request
+        assert len(dataset.rows) == 12
+        assert made.count("PointResult") == made.count("MeasurementSet") == 12 * 3
 
     def test_ideal_readouts_match_probe(self):
         for beta in (0.0, 0.7, 3.0, 11.0):
