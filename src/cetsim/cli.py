@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     point.add_argument("--seed", type=int, default=None)
     _add_noise_arguments(point)
     _add_output_arguments(point)
-    point.set_defaults(func=_cmd_point)
+    point.set_defaults(func=_cmd_point, format=None)  # files need --out-dir
 
     swp = commands.add_parser("sweep", help="sweep a (beta, h) grid")
     swp.add_argument("--beta", type=_parse_range, required=True,
@@ -190,18 +190,19 @@ def _print_row(row: sweep.SweepRow) -> None:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     params = model.ModelParams(J=args.J, h=args.h, beta=args.beta)
-    noise_options = _noise_options(args)
-    row = sweep.run_point(
-        params, noise=noise_options, shots=args.shots, seed=args.seed
+    spec = sweep.SweepSpec(
+        betas=(args.beta,), fields=(args.h,), J=args.J, noise=_noise_options(args),
+        formats=("csv",) if args.format is None else args.format,
     )
-    _print_row(row)
+    # an unwritable destination fails before the point is computed
     if args.out_dir is not None:
-        spec = sweep.SweepSpec(
-            betas=(args.beta,), fields=(args.h,), J=args.J,
-            noise=noise_options, formats=args.format,
-        )
-        dataset = sweep.SweepDataset.from_rows(spec, (row,))
-        for path in outputs.emit_outputs(dataset, args.format, args.out_dir):
+        sweep.check_writable(args.out_dir)
+    elif args.format is not None:
+        raise DomainError("--format requires --out-dir")
+    dataset = sweep.run_batch(spec, [params], args.shots, args.seed)
+    _print_row(dataset.row(0))
+    if args.out_dir is not None:
+        for path in outputs.emit_outputs(dataset, spec.formats, args.out_dir):
             print(f"wrote {path}")
     return EXIT_OK
 
@@ -257,7 +258,7 @@ def _cmd_noise_study(args: argparse.Namespace) -> int:
     rho_rec = noise.recover(rho_noisy, lam)
 
     readouts = {
-        stage: reconstruct.diagonal_readout(np.real(np.diag(rho.matrix)))
+        stage: reconstruct.readouts(np.real(np.diag(rho.matrix))).tolist()
         for stage, rho in (
             ("ideal", rho_clean), ("noisy", rho_noisy), ("recovered", rho_rec)
         )
@@ -286,8 +287,8 @@ def _cmd_noise_study(args: argparse.Namespace) -> int:
         },
         "recovered_physical": rho_rec.is_physical,
         "observables": {
-            label: {stage: ms.value(label).real for stage, ms in readouts.items()}
-            for label in reconstruct.LABELS
+            label: {stage: values[i] for stage, values in readouts.items()}
+            for i, label in enumerate(reconstruct.LABELS)
         },
     }
     text = json.dumps(report, indent=2, sort_keys=True)

@@ -89,11 +89,6 @@ def spin_values(n: int) -> np.ndarray:
     return z
 
 
-def energy_table(params: ModelParams) -> np.ndarray:
-    """Energies of all 2**n configurations, indexed by configuration."""
-    return gibbs_tables([params])[0][0]
-
-
 def _normalize_log_weights(
     log_w: np.ndarray, axis: int = -1
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,8 @@
 
 All emitters format numbers through repr(float(...)) or fixed-width
 templates, never through locale- or platform-dependent paths, so two
-runs of the same sweep produce byte-identical files regardless of the
-worker count that computed them.
+runs of the same sweep produce byte-identical files.  A plot of a
+non-finite value raises NumericError before its file is opened.
 
 Every emitter reads the dataset's (stage, point) columns, never its
 per-point `rows` views.  `sweep.json` is streamed one beta's block of
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import sweep as sweep_mod
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .reconstruct import LABELS
 
 CSV_HEADER = "beta,h,J,M,C2,C3,S,logZ,provenance"
@@ -81,8 +81,6 @@ def _spec_payload(spec: sweep_mod.SweepSpec) -> dict:
                 for label, prof in sorted(spec.noise.decay.items())
             },
         }
-    # parallelism is omitted: the payload records only what determines
-    # the data
     return {
         "betas": [float(b) for b in spec.betas],
         "fields": [float(h) for h in spec.fields],
@@ -184,6 +182,11 @@ def _scale_colors(t: np.ndarray) -> list[str]:
     return [f"rgb({r},{g},{b})" for r, g, b in rgb.tolist()]
 
 
+def _check_finite(values: np.ndarray, quantity: str, provenance: str) -> None:
+    if not np.isfinite(values).all():
+        raise NumericError(f"cannot plot non-finite {quantity} of stage {provenance}")
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi == lo:
         return [lo]
@@ -252,6 +255,8 @@ def write_line_plot(dataset: sweep_mod.SweepDataset, quantity: str, path) -> Non
 
     fields = list(dataset.spec.fields)
     column = getattr(dataset, attr)
+    for provenance, ys in zip(dataset.provenances, column):
+        _check_finite(ys, quantity, provenance)
     series = [
         (beta, provenance, _PALETTE[bi % len(_PALETTE)], ys[dataset.beta_points(bi)])
         for bi, beta in enumerate(dataset.spec.betas)
@@ -309,6 +314,7 @@ def write_heatmap(
     betas = list(dataset.spec.betas)
     fields = list(dataset.spec.fields)
     values = getattr(dataset, attr)[dataset.provenances.index(provenance)]
+    _check_finite(values, quantity, provenance)
     vlo, vhi = float(values.min()), float(values.max())
     span = vhi - vlo if vhi != vlo else 1.0
 

@@ -10,8 +10,8 @@ One sign table serves both directions: the readout of a population
 vector is SIGNS.T @ p, and reconstruction is p = (1 + SIGNS @ v) / 8.
 `readouts`, `invert`, `summaries` and `entropies` work over leading
 axes (points, stages) one row at a time, so a row's bits do not depend
-on its batch; `diagonal_readout`, `assemble_density`,
-`observables_summary` and `entropy` are their one-row calls.
+on its batch; `assemble_density`, `observables_summary` and `entropy`
+are their one-row calls.
 
 Probe readouts are complex; reconstruction uses the real parts and
 tracks the imaginary residuals, flagging any observable whose residual
@@ -155,12 +155,6 @@ def entropies(populations: np.ndarray, policy: str = "strict") -> np.ndarray:
     else:
         raise DomainError(f"unknown entropy policy {policy!r}")
     return model.shannon_entropy(p)
-
-
-def diagonal_readout(populations: np.ndarray) -> MeasurementSet:
-    """The seven diagonal expectations of a population vector, SIGNS.T @ p."""
-    values = readouts(populations)
-    return MeasurementSet(values={lbl: complex(v) for lbl, v in zip(LABELS, values)})
 
 
 def assemble_density(

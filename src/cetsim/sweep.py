@@ -1,10 +1,10 @@
 """Phase-diagram sweeps: synthesise, simulate, measure, reconstruct.
 
-One array pipeline serves every point: `run_sweep` simulates the whole
-grid in one `engine.run_circuits` pass, one circuit over B rows of
-angles, and `run_point` is the same pass with B = 1.  `_stages` stacks
-the provenance stages (ideal, noisy, recovered) along a leading axis and
-reconstructs them all in one call.
+One array pipeline, `run_batch`, serves every point: it simulates B
+points in one `engine.run_circuits` pass, one circuit over B rows of
+angles.  `run_sweep` is the whole grid as one batch and `run_point` the
+batch of one.  `_stages` stacks the provenance stages (ideal, noisy,
+recovered) along a leading axis and reconstructs them all in one call.
 
 A `SweepDataset` keeps the result as (stage, point) columns; `SweepRow`,
 `PointResult` and `MeasurementSet` are per-point views built on request.
@@ -16,8 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -150,26 +149,6 @@ class SweepDataset:
         if len(self.log_partition) != points:
             raise DomainError(f"{len(self.log_partition)} rows for {points} points")
 
-    @classmethod
-    def from_rows(cls, spec: SweepSpec, rows: Sequence[SweepRow]) -> SweepDataset:
-        """The columns of per-point rows in row-major grid order, each with
-        the first row's stages; beta, h and J are read from `spec`."""
-        stages = rows[0].provenances if rows else ()
-        if any(row.provenances != stages for row in rows):
-            raise DomainError("rows must share one list of provenance stages")
-
-        def column(read, dtype=float, *shape):
-            items = np.array([read(res) for row in rows for res in row.results], dtype)
-            return np.moveaxis(items.reshape(len(rows), len(stages), *shape), 0, 1)
-
-        return cls(
-            spec, stages, np.array([row.log_partition for row in rows], float),
-            column(lambda res: [*map(res.measurements.value, reconstruct.LABELS)],
-                   complex, 7),
-            column(attrgetter("populations"), float, 8),
-            *[column(attrgetter(name)) for name in _SUMMARIES],
-        )
-
     def row(self, b: int) -> SweepRow:
         """The per-point view of the grid's `b`-th point."""
         per_stage = zip(
@@ -262,12 +241,14 @@ def _stages(populations: np.ndarray, noise: NoiseOptions | None, shots, seed):
     return names, values, populations, (*reconstruct.summaries(values.real), entropy)
 
 
-def _run(spec: SweepSpec, params, shots=None, seed=None) -> SweepDataset:
+def run_batch(spec: SweepSpec, params, shots=None, seed=None) -> SweepDataset:
     """The pipeline over B points of one topology and size, as columns.
 
-    The points share one circuit, built for the first, and differ only in
-    its rotation angles.  On a chain the readouts are those of the first
-    three spins.
+    `params` are the points of `spec`'s grid in row-major order; `shots`
+    and `seed` sample the ideal readouts as in `run_point`.  The points
+    share one circuit, built for the first, and differ only in its
+    rotation angles.  On a chain the readouts are those of the first three
+    spins.
     """
     if params[0].n < 3:
         raise TopologyError(f"the readout set needs 3 spins, model has {params[0].n}")
@@ -295,7 +276,7 @@ def run_point(
     at position `index` of LABELS draws from the stream `seed + index`.
     """
     spec = SweepSpec(betas=(params.beta,), fields=(params.h,), J=params.J, noise=noise)
-    return _run(spec, [params], shots, seed).row(0)
+    return run_batch(spec, [params], shots, seed).row(0)
 
 
 def check_writable(out_dir: str) -> None:
@@ -311,7 +292,7 @@ def run_sweep(spec: SweepSpec) -> SweepDataset:
     """Run every grid point, in row-major order, as one batch."""
     points = [(beta, h) for beta in spec.betas for h in spec.fields]
     params = [model.ModelParams(J=spec.J, h=h, beta=beta) for beta, h in points]
-    return _run(spec, params)
+    return run_batch(spec, params)
 
 
 def magnetization_slice(dataset: SweepDataset, beta: float) -> np.ndarray:

@@ -93,6 +93,58 @@ class TestPoint:
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep.json").exists()
 
+    @pytest.mark.parametrize(
+        "noise, formats",
+        [(["--eta", "0.7", "--recover", "auto"], ["--format", "csv,json,svg"]),
+         (["--decay-profile", "default", "--t1", "3", "--recover", "auto"],
+          ["--format", "csv,json,svg"]),
+         ([], [])],
+        ids=["eta-auto", "decay-t1", "default-format"],
+    )
+    def test_files_match_a_one_point_sweep(self, capsys, tmp_path, noise, formats):
+        point = ["--beta", "2", "--h", "0.5", *noise, *formats]
+        dir_a, dir_b = tmp_path / "point", tmp_path / "sweep"
+        code_a, _, _ = run_cli(["point", *point, "--out-dir", str(dir_a)], capsys)
+        code_b, _, _ = run_cli(["sweep", *point, "--out-dir", str(dir_b)], capsys)
+        assert code_a == code_b == cli.EXIT_OK
+        names = sorted(p.name for p in dir_a.iterdir())
+        assert names == sorted(p.name for p in dir_b.iterdir())
+        assert names == (["line_M_vs_h.svg", "line_S_vs_h.svg", "sweep.csv",
+                          "sweep.json"] if formats else ["sweep.csv"])
+        for name in names:
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_unwritable_out_dir_fails_before_compute(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("in the way")
+        code, out, err = run_cli(
+            ["point", "--beta", "2", "--h", "0.5", "--eta", "0.7", "--recover",
+             "auto", "--out-dir", str(blocker / "x")],
+            capsys,
+        )
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert "i/o error" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_format_without_out_dir_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, source
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["point", "--beta", "1", "--h", "0"]
+        if source == "flag":
+            argv += ["--format", "json"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"format": "json"}))
+            argv = ["--config", "cfg.json", *argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == "error: --format requires --out-dir\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["cfg.json"] if source == "config" else []
+        )
+
     def test_overflowing_beta_field_is_usage_error(self, capsys):
         code, out, err = run_cli(["point", "--beta", "1e308", "--h", "1e308"], capsys)
         assert code == cli.EXIT_USAGE

@@ -9,7 +9,6 @@ from cetsim.model import (
     ModelParams,
     cets_amplitudes,
     chain_conditionals,
-    energy_table,
     exact_entropy,
     exact_expectation,
     gibbs_distribution,
@@ -24,23 +23,23 @@ TRIANGLE_ENERGIES_J1_H1 = [6.0, 0.0, 0.0, -2.0, 0.0, -2.0, -2.0, 0.0]
 
 def test_energy_all_up():
     params = ModelParams(J=1.0, h=1.0, beta=1.0)
-    assert energy_table(params)[0] == 6.0
+    assert gibbs_distribution(params).energies[0] == 6.0
 
 
 def test_energy_table_matches_enumeration():
     params = ModelParams(J=1.0, h=1.0, beta=1.0)
-    assert energy_table(params).tolist() == TRIANGLE_ENERGIES_J1_H1
+    assert gibbs_distribution(params).energies.tolist() == TRIANGLE_ENERGIES_J1_H1
 
 
 def test_ground_manifold_at_h1():
     # one-spin-up configurations 011, 101, 110
-    e = energy_table(ModelParams(J=1.0, h=1.0, beta=1.0))
+    e = gibbs_distribution(ModelParams(J=1.0, h=1.0, beta=1.0)).energies
     ground = np.flatnonzero(e == e.min())
     assert ground.tolist() == [3, 5, 6]
 
 
 def test_sixfold_degeneracy_at_zero_field():
-    e = energy_table(ModelParams(J=1.0, h=0.0, beta=1.0))
+    e = gibbs_distribution(ModelParams(J=1.0, h=0.0, beta=1.0)).energies
     assert int((e == e.min()).sum()) == 6
 
 
@@ -63,7 +62,7 @@ def test_bonds():
 def test_gibbs_matches_naive(beta, h):
     params = ModelParams(J=1.0, h=h, beta=beta)
     table = gibbs_distribution(params)
-    raw = np.exp(-beta * np.array(energy_table(params)))
+    raw = np.exp(-beta * table.energies)
     naive = raw / raw.sum()
     np.testing.assert_allclose(table.weights, naive, atol=1e-10)
     assert math.isclose(table.log_partition, math.log(raw.sum()), rel_tol=1e-12)

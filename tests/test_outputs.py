@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -5,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cetsim.errors import DomainError
+from cetsim.errors import DomainError, NumericError
 from cetsim.model import ModelParams
 from cetsim.noise import default_decay_table
 from cetsim.outputs import (
@@ -20,16 +21,8 @@ from cetsim.outputs import (
     write_json,
     write_line_plot,
 )
-from cetsim.reconstruct import LABELS, MeasurementSet
-from cetsim.sweep import (
-    NoiseOptions,
-    PointResult,
-    SweepDataset,
-    SweepRow,
-    SweepSpec,
-    run_point,
-    run_sweep,
-)
+from cetsim.reconstruct import LABELS
+from cetsim.sweep import NoiseOptions, SweepDataset, SweepSpec, run_batch, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -200,13 +193,13 @@ def _decay_t1():
 
 
 def _shots():
-    noise = NoiseOptions(eta=0.9, recover="auto")
-    row = run_point(
-        ModelParams(J=1.0, h=0.2, beta=0.3), noise=noise, shots=4096, seed=5
+    spec = SweepSpec(
+        betas=(0.3,), fields=(0.2,), noise=NoiseOptions(eta=0.9, recover="auto")
     )
-    assert any(res.measurements.value("Z1").imag != 0.0 for res in row.results)
-    spec = SweepSpec(betas=(0.3,), fields=(0.2,), noise=noise)
-    return SweepDataset.from_rows(spec, (row,))
+    params = [ModelParams(J=1.0, h=0.2, beta=0.3)]
+    dataset = run_batch(spec, params, shots=4096, seed=5)
+    assert (dataset.values[:, 0, LABELS.index("Z1")].imag != 0.0).any()
+    return dataset
 
 
 def _integer_inputs():
@@ -214,20 +207,15 @@ def _integer_inputs():
 
 
 def _special_floats():
-    values = {label: complex(-0.0, math.nan) for label in LABELS}
-    values["Z1"] = complex(math.inf, -math.inf)
-    res = PointResult(
-        provenance="ideal",
-        measurements=MeasurementSet(values=values),
-        populations=np.array([-0.0, math.nan, math.inf, -math.inf, 0.5, 0, 1, 2]),
-        magnetization=-0.0,
-        pair_correlation=math.nan,
-        triple_correlation=math.inf,
-        entropy=-math.inf,
-    )
-    row = SweepRow(beta=1.0, h=-0.0, J=-1.0, log_partition=math.nan, results=(res,))
+    values = np.full((1, 1, len(LABELS)), complex(-0.0, math.nan))
+    values[0, 0, LABELS.index("Z1")] = complex(math.inf, -math.inf)
+    populations = np.array([[[-0.0, math.nan, math.inf, -math.inf, 0.5, 0, 1, 2]]])
+    # M, C2, C3 and S
+    stats = [np.array([[x]]) for x in (-0.0, math.nan, math.inf, -math.inf)]
     spec = SweepSpec(betas=(1.0,), fields=(-0.0,), J=-1.0)
-    return SweepDataset.from_rows(spec, (row,))
+    return SweepDataset(
+        spec, ("ideal",), np.array([math.nan]), values, populations, *stats
+    )
 
 
 class TestJsonBytes:
@@ -264,38 +252,17 @@ class TestJsonBytes:
         assert spec["noise"]["decay"]["Z1"]["t1"] == 3.0
 
 
-class TestFromRows:
-    PLOTS = [
-        f"{q}-{kind}" for q in ("M", "C2", "C3", "S") for kind in ("vs-h", "heatmap")
-    ]
-
-    @pytest.mark.parametrize(
-        "build", [_eta_auto, _decay_t1], ids=["eta-auto", "decay-t1"]
-    )
-    def test_row_views_round_trip_to_the_same_bytes(self, build, tmp_path):
-        dataset = build()
-        rebuilt = SweepDataset.from_rows(dataset.spec, dataset.rows)
-        formats = ["csv", "json", "svg"]
-        paths = emit_outputs(dataset, formats, str(tmp_path / "a"), plots=self.PLOTS)
-        again = emit_outputs(rebuilt, formats, str(tmp_path / "b"), plots=self.PLOTS)
-        assert len(paths) == 2 + 4 + 4 * 3  # csv, json, line plots, heatmaps
-        names = [p.rsplit("/", 1)[1] for p in paths]
-        assert names == [p.rsplit("/", 1)[1] for p in again]
-        for pa, pb in zip(paths, again):
-            with open(pa, "rb") as fa, open(pb, "rb") as fb:
-                assert fa.read() == fb.read()
-
+class TestSweepDataset:
     def test_rows_must_fill_the_grid(self, noisy_dataset):
-        spec = noisy_dataset.spec
-        with pytest.raises(DomainError):
-            SweepDataset.from_rows(SweepSpec(betas=(1.0,), fields=(0.0,)), ())
-        with pytest.raises(DomainError):
-            SweepDataset.from_rows(spec, noisy_dataset.rows[:-1])
-        mixed = noisy_dataset.rows[:-1] + run_sweep(
-            SweepSpec(betas=(2.0,), fields=(1.0,))
-        ).rows
-        with pytest.raises(DomainError):
-            SweepDataset.from_rows(spec, mixed)
+        d = noisy_dataset
+        for kept in (0, 5):
+            columns = [
+                getattr(d, name)[:, :kept]
+                for name in ("values", "populations", "magnetization",
+                             "pair_correlation", "triple_correlation", "entropy")
+            ]
+            with pytest.raises(DomainError, match=f"^{kept} rows for 6 points$"):
+                SweepDataset(d.spec, d.provenances, d.log_partition[:kept], *columns)
 
 
 class TestSvg:
@@ -341,6 +308,22 @@ class TestSvg:
 
         t = np.concatenate([np.linspace(-0.2, 1.2, 50001), np.arange(24) / 23])
         assert _scale_colors(t) == [scale_color(x) for x in t.tolist()]
+
+    @pytest.mark.parametrize(
+        "plot, quantity, attr, value",
+        [("M-vs-h", "M", "magnetization", math.nan),
+         ("S-heatmap", "S", "entropy", math.inf)],
+        ids=["line", "heatmap"],
+    )
+    def test_non_finite_value_is_numeric_error(
+        self, ideal_dataset, tmp_path, plot, quantity, attr, value
+    ):
+        column = getattr(ideal_dataset, attr).copy()
+        column[0, 4] = value
+        dataset = dataclasses.replace(ideal_dataset, **{attr: column})
+        with pytest.raises(NumericError, match=f"non-finite {quantity} of stage ideal"):
+            emit_outputs(dataset, ["svg"], str(tmp_path), plots=[plot])
+        assert list(tmp_path.iterdir()) == []
 
     def test_heatmap_well_formed(self, noisy_dataset, tmp_path):
         path = tmp_path / "heat.svg"

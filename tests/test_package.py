@@ -4,7 +4,8 @@ from pathlib import Path
 import cetsim
 import cetsim.cli  # noqa: F401  (binds every module the tracer targets)
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_public_names_unique_and_resolvable():
@@ -25,3 +26,13 @@ def test_trace_targets_are_own_attributes():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the README's Library block is run as written, so a name it shows
+    # cannot outlive a rename or a deletion
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text[text.index("## Library") :].split("```python\n", 1)[1]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block[: block.index("```")], "README.md", "exec"), {})
+    assert (tmp_path / "out" / "sweep.csv").exists()
