@@ -252,7 +252,7 @@ class TestJsonBytes:
         assert spec["noise"]["decay"]["Z1"]["t1"] == 3.0
 
 
-class TestSweepDataset:
+class TestFromRows:
     def test_rows_must_fill_the_grid(self, noisy_dataset):
         d = noisy_dataset
         for kept in (0, 5):
