@@ -74,6 +74,8 @@ def _parse_recover(text: str):
 def _parse_formats(text: str) -> tuple[str, ...]:
     """Each named format once, in the order `sweep.FORMATS` writes them."""
     formats = [part.strip() for part in text.split(",") if part.strip()]
+    if not formats:
+        raise argparse.ArgumentTypeError("expected at least one of csv,json,svg")
     for fmt in formats:
         if fmt not in sweep.FORMATS:
             raise argparse.ArgumentTypeError(f"unknown format {fmt!r}")
@@ -217,7 +219,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         formats=args.format,
     )
     spec = sweep.with_parallelism(spec, args.parallel)
-    plots = args.plot.split(",") if args.plot else None
+    plots = None if args.plot is None else args.plot.split(",")
     for token in plots or ():
         outputs.parse_plot_token(token)
     # an unwritable destination fails before any point is computed

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class CetsError(Exception):
     """Base class for all package-specific errors."""
@@ -33,3 +35,11 @@ class IncompleteSetError(CetsError, ValueError):
 
 class NonPhysicalStateError(CetsError, ValueError):
     """An operation required a physical (positive) state and got none."""
+
+
+def check_unit(values, tol: float, error: type[CetsError], what: str) -> None:
+    """Raise error(f"{what} {v}, expected 1") for the first element v of `values`
+    with not |v - 1| <= tol: NaN fails, and a complex v counts by its modulus."""
+    for v in np.asarray(values).ravel().tolist():
+        if not abs(v - 1.0) <= tol:
+            raise error(f"{what} {v}, expected 1")

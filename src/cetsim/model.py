@@ -10,6 +10,8 @@ Conventions
 Spins are numbered 0..n-1 from the most significant bit of the
 configuration index, and bit value 0 encodes spin up (z = +1).  The
 configuration index therefore reads as the bit string b_0 b_1 ... b_{n-1}.
+`z_signs` is the one product of spin columns: the diagonal of a Z string,
+behind the bond energies, diagonal expectations and readout sign table.
 The energy is
 
     E = J * sum_(i,j) z_i z_j + h * sum_i z_i
@@ -28,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, TopologyError
+from .errors import DomainError, NumericError, TopologyError, check_unit
 
 TRIANGLE = "triangle"
 CHAIN = "chain"
@@ -89,6 +91,15 @@ def spin_values(n: int) -> np.ndarray:
     return z
 
 
+def z_signs(n: int, sites: Sequence[int]) -> np.ndarray:
+    """(2**n,) +-1 diagonal of the Z string on `sites`; ones for no sites."""
+    z = spin_values(n)
+    signs = z[:, sites[0]].copy() if sites else np.ones(2**n)
+    for site in sites[1:]:
+        signs = signs * z[:, site]
+    return signs
+
+
 def _normalize_log_weights(
     log_w: np.ndarray, axis: int = -1
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -127,12 +138,11 @@ def gibbs_tables(params: Sequence[ModelParams]) -> tuple[np.ndarray, ...]:
     z = spin_values(first.n)
     J, h, beta = np.array([(p.J, p.h, p.beta) for p in params]).T[..., None]
     e = h * z.sum(axis=1)
-    for i, j in first.bonds():
-        e = e + J * (z[:, i] * z[:, j])
+    for bond in first.bonds():
+        e = e + J * z_signs(first.n, bond)
     weights, log_z = _normalize_log_weights(-beta * e)
-    for total in weights.sum(axis=1).tolist():
-        if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:
-            raise NumericError(f"Gibbs weights sum to {total}, expected 1")
+    check_unit(weights.sum(axis=1), _WEIGHT_SUM_TOL, NumericError,
+               "Gibbs weights sum to")
     return e, weights, log_z
 
 
@@ -161,11 +171,7 @@ def exact_expectation(params: ModelParams, op) -> complex:
         )
     table = gibbs_distribution(params)
     if op.is_diagonal:
-        z = spin_values(params.n)
-        signs = np.ones(2**params.n)
-        for site, letter in enumerate(op.letters):
-            if letter == "Z":
-                signs = signs * z[:, site]
+        signs = z_signs(params.n, [i for i, c in enumerate(op.letters) if c == "Z"])
         return complex(float(np.dot(table.weights, signs)))
     psi = np.sqrt(table.weights).astype(complex)
     return complex(np.vdot(psi, op.apply(psi)))
@@ -219,6 +225,6 @@ def chain_conditionals(params: ModelParams) -> ChainConditionals:
     for i in range(1, n):
         table[i] = _normalize_log_weights(log_t + log_r[i][None, :], axis=1)[0]
 
-    if not np.all(np.abs(table.sum(axis=2) - 1.0) <= _WEIGHT_SUM_TOL):
-        raise NumericError("chain conditionals do not normalise")
+    check_unit(table.sum(axis=2), _WEIGHT_SUM_TOL, NumericError,
+               "chain conditionals sum to")
     return ChainConditionals(params=params, table=table)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import StateVector
-from .errors import DomainError, NonPhysicalStateError
+from .errors import DomainError, NonPhysicalStateError, check_unit
 
 logger = logging.getLogger(__name__)
 
@@ -65,20 +65,17 @@ class DensityMatrix:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"density matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITIAN_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= _HERMITIAN_TOL:
             raise DomainError("density matrix is not Hermitian")
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > _TRACE_TOL:
-            raise DomainError(f"density matrix trace is {trace}, expected 1")
+        check_unit(complex(np.trace(m)), _TRACE_TOL, DomainError,
+                   "density matrix trace is")
 
     @classmethod
     def from_state(cls, state) -> "DensityMatrix":
         """Outer product |psi><psi| of a StateVector or amplitude array."""
         amps = state.amplitudes if isinstance(state, StateVector) else np.asarray(state)
         amps = amps.astype(complex)
-        norm = np.linalg.norm(amps)
-        if not math.isclose(norm, 1.0, abs_tol=1e-9):
-            raise DomainError(f"state norm is {norm}, expected 1")
+        check_unit(np.linalg.norm(amps), _TRACE_TOL, DomainError, "state norm is")
         return cls(np.outer(amps, amps.conj()))
 
     @classmethod
@@ -106,8 +103,7 @@ def depolarize(rho: DensityMatrix, eta: float) -> DensityMatrix:
     """Mix rho with the maximally mixed state, keeping polarisation eta."""
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must be in [0, 1], got {eta}")
-    d = rho.dimension
-    mixed = np.eye(d, dtype=complex) / d
+    mixed = DensityMatrix.maximally_mixed(rho.dimension).matrix
     return DensityMatrix((1.0 - eta) * mixed + eta * rho.matrix)
 
 
@@ -144,8 +140,7 @@ def recover(rho: DensityMatrix, lam: float) -> DensityMatrix:
     """
     if not 0.0 < lam <= 1.0:
         raise DomainError(f"recovery factor must be in (0, 1], got {lam}")
-    d = rho.dimension
-    mixed = np.eye(d, dtype=complex) / d
+    mixed = DensityMatrix.maximally_mixed(rho.dimension).matrix
     out = DensityMatrix((rho.matrix - mixed) / lam + mixed)
     if not out.is_physical:
         logger.warning(

@@ -402,13 +402,9 @@ def emit_outputs(
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for fmt in formats:
-        if fmt == "csv":
-            path = os.path.join(out_dir, "sweep.csv")
-            write_csv(dataset, path)
-            written.append(path)
-        elif fmt == "json":
-            path = os.path.join(out_dir, "sweep.json")
-            write_json(dataset, path)
+        if fmt in ("csv", "json"):
+            path = os.path.join(out_dir, f"sweep.{fmt}")
+            (write_csv if fmt == "csv" else write_json)(dataset, path)
             written.append(path)
         elif fmt == "svg":
             written += _plot_files(

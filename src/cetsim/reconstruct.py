@@ -8,6 +8,7 @@ determine the eight diagonal entries of a three-spin density matrix:
 
 One sign table serves both directions: the readout of a population
 vector is SIGNS.T @ p, and reconstruction is p = (1 + SIGNS @ v) / 8.
+Its columns are `model.z_signs` of each label's Z sites.
 `readouts`, `invert`, `summaries` and `entropies` work over leading
 axes (points, stages) one row at a time, so a row's bits do not depend
 on its batch; `assemble_density`, `observables_summary` and `entropy`
@@ -26,34 +27,26 @@ from typing import Mapping
 import numpy as np
 
 from . import model
-from .errors import DomainError, IncompleteSetError, NonPhysicalStateError
+from .errors import DomainError, IncompleteSetError, NonPhysicalStateError, check_unit
 from .noise import DensityMatrix, clip_to_simplex
+from .pauli import PauliString
 
 #: The diagonal readout set, in canonical order.
 LABELS = ("Z1", "Z2", "Z3", "Z1Z2", "Z2Z3", "Z1Z3", "Z1Z2Z3")
 _LABEL_SET = frozenset(LABELS)
 
-_SITES = {
-    "Z1": (0,),
-    "Z2": (1,),
-    "Z3": (2,),
-    "Z1Z2": (0, 1),
-    "Z2Z3": (1, 2),
-    "Z1Z3": (0, 2),
-    "Z1Z2Z3": (0, 1, 2),
-}
-
 #: (8, 7) sign of each readout label (columns, in LABELS order) on each
 #: configuration (rows).
-SIGNS = np.stack(
-    [np.prod(model.spin_values(3)[:, list(_SITES[label])], axis=1) for label in LABELS],
-    axis=1,
-)
+SIGNS = np.stack([
+    model.z_signs(3, [i for i, c in enumerate(letters) if c == "Z"])
+    for letters in (PauliString.parse(label, 3).letters for label in LABELS)
+], axis=1)
 SIGNS.setflags(write=False)
 
 IMAG_FLAG_FRACTION = 0.11
 
 _STRICT_NEG_TOL = 1e-12
+_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,12 +80,6 @@ class MeasurementSet:
         return flags
 
 
-def _check_sums(populations: np.ndarray) -> None:
-    for total in populations.sum(axis=-1).ravel().tolist():
-        if not abs(total - 1.0) <= 1e-9:
-            raise DomainError(f"populations sum to {total}, expected 1")
-
-
 @dataclass(frozen=True)
 class DiagonalDensity:
     """Populations over the eight spin configurations, plus provenance."""
@@ -103,7 +90,7 @@ class DiagonalDensity:
     def __post_init__(self) -> None:
         if self.populations.shape != (8,):
             raise DomainError("diagonal density needs exactly 8 populations")
-        _check_sums(self.populations)
+        check_unit(self.populations.sum(), _SUM_TOL, DomainError, "populations sum to")
 
     @property
     def is_physical(self) -> bool:
@@ -123,7 +110,7 @@ def invert(values: np.ndarray) -> np.ndarray:
     must sum to one within 1e-9.
     """
     populations = (1.0 + np.matmul(SIGNS, values[..., None])[..., 0]) / 8.0
-    _check_sums(populations)
+    check_unit(populations.sum(axis=-1), _SUM_TOL, DomainError, "populations sum to")
     return populations
 
 
@@ -201,8 +188,6 @@ def observables_summary(measurements: MeasurementSet) -> ObservablesSummary:
 
 def exact_measurement_set(params: model.ModelParams) -> MeasurementSet:
     """The seven exact thermal expectations, as a MeasurementSet."""
-    from .pauli import PauliString
-
     values = {
         label: model.exact_expectation(params, PauliString.parse(label, params.n))
         for label in LABELS

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import engine, model, reconstruct, synth
+from . import engine, errors, model, reconstruct, synth
 from .errors import DomainError, IncompleteSetError, NumericError, TopologyError
 from .noise import DecayProfile
 
@@ -145,9 +145,7 @@ class SweepDataset:
     entropy: np.ndarray
 
     def __post_init__(self) -> None:
-        points = len(self.spec.betas) * len(self.spec.fields)
-        if len(self.log_partition) != points:
-            raise DomainError(f"{len(self.log_partition)} rows for {points} points")
+        _check_points(self.spec, len(self.log_partition))
 
     def row(self, b: int) -> SweepRow:
         """The per-point view of the grid's `b`-th point."""
@@ -175,6 +173,12 @@ class SweepDataset:
         """The points of the grid's `index`-th beta, in h order."""
         width = len(self.spec.fields)
         return slice(index * width, (index + 1) * width)
+
+
+def _check_points(spec: SweepSpec, rows: int) -> None:
+    points = len(spec.betas) * len(spec.fields)
+    if rows != points:
+        raise DomainError(f"{rows} rows for {points} points")
 
 
 def _decay_factors(noise: NoiseOptions) -> np.ndarray:
@@ -250,15 +254,15 @@ def run_batch(spec: SweepSpec, params, shots=None, seed=None) -> SweepDataset:
     rotation angles.  On a chain the readouts are those of the first three
     spins.
     """
+    _check_points(spec, len(params))
     if params[0].n < 3:
         raise TopologyError(f"the readout set needs 3 spins, model has {params[0].n}")
     log_z = model.gibbs_tables(params)[2]
     circuit = synth.build_circuit(params[0])
     angles = [circuit.angles, *map(synth.rotation_angles, params[1:])]
     probabilities = abs(engine.run_circuits(circuit, angles)) ** 2
-    for norm in np.sqrt(probabilities.sum(axis=1)).tolist():
-        if not abs(norm - 1.0) <= 1e-9:
-            raise NumericError(f"prepared state norm is {norm}, expected 1")
+    errors.check_unit(np.sqrt(probabilities.sum(axis=1)), 1e-9, NumericError,
+                      "prepared state norm is")
     populations = probabilities.reshape(len(params), 8, -1).sum(axis=2)
     names, values, populations, columns = _stages(populations, spec.noise, shots, seed)
     return SweepDataset(spec, names, log_z, values, populations, *columns)

@@ -295,7 +295,9 @@ class TestSweep:
         assert code == cli.EXIT_OK
         assert (tmp_path / "line_M_vs_h.svg").exists()
 
-    @pytest.mark.parametrize("token", ["Q-vs-h", "M-vs-beta"])
+    @pytest.mark.parametrize(
+        "token", ["Q-vs-h", "M-vs-beta", pytest.param("", id="empty")]
+    )
     def test_bad_plot_token_fails_before_compute(self, capsys, tmp_path, monkeypatch,
                                                  token):
         def no_sweep(spec):
@@ -313,6 +315,28 @@ class TestSweep:
     def test_malformed_range_is_usage_error(self, capsys):
         code, _, _ = run_cli(["sweep", "--beta", "1:2", "--h", "0"], capsys)
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["point", "sweep"])
+    @pytest.mark.parametrize(
+        "source, value",
+        [("flag", ""), ("flag", ","), ("config", []), ("config", "")],
+        ids=["flag-empty", "flag-comma", "config-list", "config-empty"],
+    )
+    def test_empty_format_is_usage_error(
+        self, capsys, tmp_path, monkeypatch, command, source, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--beta", "1", "--h", "0", "--out-dir", "D"]
+        if source == "flag":
+            argv += ["--format", value]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"format": value}))
+            argv = ["--config", "cfg.json", *argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "argument --format: expected at least one of csv,json,svg" in err
+        assert not (tmp_path / "D").exists()
 
     def test_unknown_format_is_usage_error(self, capsys):
         code, _, _ = run_cli(

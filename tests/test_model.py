@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from cetsim.model import (
     exact_expectation,
     gibbs_distribution,
     spin_values,
+    z_signs,
 )
 from cetsim.pauli import PauliString
 
@@ -48,6 +50,20 @@ def test_spin_values_convention():
     assert z[0].tolist() == [1.0, 1.0, 1.0]
     assert z[0b011].tolist() == [1.0, -1.0, -1.0]
     assert z[0b111].tolist() == [-1.0, -1.0, -1.0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_z_signs_match_index_bits(n):
+    index = np.arange(2**n)
+    assert z_signs(n, ()).tolist() == [1.0] * 2**n
+    for size in range(n + 1):
+        for sites in itertools.combinations(range(n), size):
+            parity = np.zeros(2**n, dtype=int)
+            for site in sites:
+                parity ^= (index >> (n - 1 - site)) & 1
+            signs = z_signs(n, sites)
+            assert signs.dtype == np.float64
+            assert signs.tolist() == (1.0 - 2.0 * parity).tolist()
 
 
 def test_bonds():

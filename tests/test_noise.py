@@ -53,6 +53,13 @@ class TestDensityMatrix:
         with pytest.raises(DomainError):
             DensityMatrix(np.eye(4, dtype=complex))
 
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_rejects_nan(self, dtype):
+        with pytest.raises(DomainError, match="not Hermitian"):
+            DensityMatrix(np.full((2, 2), np.nan, dtype))
+        with pytest.raises(DomainError, match="^state norm is nan, expected 1$"):
+            DensityMatrix.from_state(np.full(2, np.nan, dtype))
+
     def test_maximally_mixed(self):
         rho = DensityMatrix.maximally_mixed(8)
         assert rho.purity() == pytest.approx(1.0 / 8.0, abs=1e-15)

@@ -9,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cetsim.engine import run_circuit
-from cetsim.model import CHAIN, ModelParams, gibbs_distribution
+from cetsim.model import (
+    CHAIN,
+    ModelParams,
+    exact_expectation,
+    gibbs_distribution,
+    gibbs_tables,
+)
 from cetsim.noise import DecayProfile
+from cetsim.pauli import PauliString
 from cetsim.reconstruct import LABELS
 from cetsim.sweep import NoiseOptions, SweepSpec, run_point, run_sweep
 from cetsim.synth import build_circuit
@@ -42,6 +49,39 @@ class TestCircuitEqualsOracle:
         probs = run_circuit(build_circuit(params)).probabilities()
         tol = 1e-10 if params.topology != CHAIN else 1e-8
         assert np.abs(probs - gibbs_distribution(params).weights).max() <= tol
+
+
+class TestSignsEqualIndexBits:
+    """Energies and diagonal expectations, bit for bit, from spins read off
+    each configuration index with a scalar loop."""
+
+    @_SETTINGS
+    @given(_BETA, _H, _J, _CLUSTER, st.integers(0, 2**9 - 1))
+    def test_energies_and_diagonal_expectations(self, beta, h, J, n, mask):
+        params = _params(beta, h, J, n)
+        n = params.n
+        spins = [
+            [1.0 - 2.0 * ((k >> (n - 1 - i)) & 1) for i in range(n)]
+            for k in range(2**n)
+        ]
+        energies = []
+        for z in spins:
+            e = h * sum(z)
+            for i, j in params.bonds():
+                e = e + J * (z[i] * z[j])
+            energies.append(e)
+        assert gibbs_tables([params])[0][0].tobytes() == np.array(energies).tobytes()
+
+        sites = [i for i in range(n) if mask >> i & 1]
+        signs = []
+        for z in spins:
+            sign = 1.0
+            for i in sites:
+                sign *= z[i]
+            signs.append(sign)
+        op = PauliString(tuple("Z" if i in sites else "I" for i in range(n)))
+        weights = gibbs_distribution(params).weights
+        assert exact_expectation(params, op) == complex(float(np.dot(weights, signs)))
 
 
 def _assert_rows_close(left, right, tol=1e-12):

@@ -8,6 +8,7 @@ from cetsim.model import ModelParams, gibbs_distribution
 from cetsim.noise import DensityMatrix, depolarize
 from cetsim.reconstruct import (
     LABELS,
+    SIGNS,
     DiagonalDensity,
     MeasurementSet,
     assemble_density,
@@ -48,6 +49,22 @@ def uniform_set():
 
 def diagonal_matrix(populations):
     return DensityMatrix(np.diag(np.asarray(populations, dtype=complex)))
+
+
+def test_sign_table():
+    # rows: configurations b1 b2 b3; columns: LABELS
+    assert SIGNS.tolist() == [
+        [1, 1, 1, 1, 1, 1, 1],
+        [1, 1, -1, 1, -1, -1, -1],
+        [1, -1, 1, -1, -1, 1, -1],
+        [1, -1, -1, -1, 1, -1, 1],
+        [-1, 1, 1, -1, 1, -1, -1],
+        [-1, 1, -1, -1, -1, 1, 1],
+        [-1, -1, 1, 1, -1, -1, 1],
+        [-1, -1, -1, 1, 1, 1, -1],
+    ]
+    assert SIGNS.dtype == np.float64
+    assert not SIGNS.flags.writeable
 
 
 class TestMeasurementSet:

@@ -18,6 +18,7 @@ from cetsim.sweep import (
     NoiseOptions,
     SweepSpec,
     magnetization_slice,
+    run_batch,
     run_point,
     run_sweep,
     with_parallelism,
@@ -298,6 +299,12 @@ class TestSweepSpec:
     def test_bad_format(self):
         with pytest.raises(DomainError):
             SweepSpec(betas=(1.0,), fields=(1.0,), formats=("xlsx",))
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_batch_must_fill_the_grid(self, count):
+        spec = SweepSpec(betas=(1.0,), fields=(0.0, 1.0))
+        with pytest.raises(DomainError, match=f"^{count} rows for 2 points$"):
+            run_batch(spec, [triangle(1.0, 0.0)] * count)
 
 
 class TestRunSweep:
