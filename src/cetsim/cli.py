@@ -191,7 +191,7 @@ def _print_row(row: sweep.SweepRow) -> None:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    params = model.ModelParams(J=args.J, h=args.h, beta=args.beta)
+    model.ModelParams(J=args.J, h=args.h, beta=args.beta)  # a bad --beta is reported first
     spec = sweep.SweepSpec(
         betas=(args.beta,), fields=(args.h,), J=args.J, noise=_noise_options(args),
         formats=("csv",) if args.format is None else args.format,
@@ -201,7 +201,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
         sweep.check_writable(args.out_dir)
     elif args.format is not None:
         raise DomainError("--format requires --out-dir")
-    dataset = sweep.run_batch(spec, [params], args.shots, args.seed)
+    dataset = sweep.run_sweep(spec, args.shots, args.seed)
     _print_row(dataset.row(0))
     if args.out_dir is not None:
         for path in outputs.emit_outputs(dataset, spec.formats, args.out_dir):

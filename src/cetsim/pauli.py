@@ -79,11 +79,6 @@ class PauliString:
     def is_diagonal(self) -> bool:
         return all(letter in "IZ" for letter in self.letters)
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return sum(letter != "I" for letter in self.letters)
-
     def label(self) -> str:
         """Indexed-form label, e.g. "Z1Z3"; the identity renders as "I"."""
         parts = [

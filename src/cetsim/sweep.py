@@ -1,10 +1,11 @@
 """Phase-diagram sweeps: synthesise, simulate, measure, reconstruct.
 
-One array pipeline, `run_batch`, serves every point: it simulates B
-points in one `engine.run_circuits` pass, one circuit over B rows of
-angles.  `run_sweep` is the whole grid as one batch and `run_point` the
-batch of one.  `_stages` stacks the provenance stages (ideal, noisy,
-recovered) along a leading axis and reconstructs them all in one call.
+One array pipeline, `run_sweep`, serves every point: a `SweepSpec` names
+a batch, and `run_sweep` forms its grid's triangle points and simulates
+them in one `engine.run_circuits` pass, one circuit over B rows of
+angles.  `run_point` is the batch of one.  `_stages` stacks the provenance
+stages (ideal, noisy, recovered) along a leading axis and reconstructs
+them all in one call.
 
 A `SweepDataset` keeps the result as (stage, point) columns; `SweepRow`,
 `PointResult` and `MeasurementSet` are per-point views built on request.
@@ -145,7 +146,9 @@ class SweepDataset:
     entropy: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_points(self.spec, len(self.log_partition))
+        points = len(self.spec.betas) * len(self.spec.fields)
+        if len(self.log_partition) != points:
+            raise DomainError(f"{len(self.log_partition)} rows for {points} points")
 
     def row(self, b: int) -> SweepRow:
         """The per-point view of the grid's `b`-th point."""
@@ -173,12 +176,6 @@ class SweepDataset:
         """The points of the grid's `index`-th beta, in h order."""
         width = len(self.spec.fields)
         return slice(index * width, (index + 1) * width)
-
-
-def _check_points(spec: SweepSpec, rows: int) -> None:
-    points = len(spec.betas) * len(spec.fields)
-    if rows != points:
-        raise DomainError(f"{rows} rows for {points} points")
 
 
 def _decay_factors(noise: NoiseOptions) -> np.ndarray:
@@ -226,9 +223,9 @@ def _stages(populations: np.ndarray, noise: NoiseOptions | None, shots, seed):
         values[0] = [
             [
                 engine.sample_shots(v, shots, None if seed is None else seed + index)
-                for index, v in enumerate(row)
+                for index, v in enumerate(row, b * len(row))
             ]
-            for row in values[0].tolist()
+            for b, row in enumerate(values[0].tolist())
         ]
     if len(names) > 1:
         factor = noise.eta if noise.eta is not None else _decay_factors(noise)
@@ -245,42 +242,20 @@ def _stages(populations: np.ndarray, noise: NoiseOptions | None, shots, seed):
     return names, values, populations, (*reconstruct.summaries(values.real), entropy)
 
 
-def run_batch(spec: SweepSpec, params, shots=None, seed=None) -> SweepDataset:
-    """The pipeline over B points of one topology and size, as columns.
-
-    `params` are the points of `spec`'s grid in row-major order; `shots`
-    and `seed` sample the ideal readouts as in `run_point`.  The points
-    share one circuit, built for the first, and differ only in its
-    rotation angles.  On a chain the readouts are those of the first three
-    spins.
-    """
-    _check_points(spec, len(params))
-    if params[0].n < 3:
-        raise TopologyError(f"the readout set needs 3 spins, model has {params[0].n}")
-    log_z = model.gibbs_tables(params)[2]
-    circuit = synth.build_circuit(params[0])
-    angles = [circuit.angles, *map(synth.rotation_angles, params[1:])]
-    probabilities = abs(engine.run_circuits(circuit, angles)) ** 2
-    errors.check_unit(np.sqrt(probabilities.sum(axis=1)), 1e-9, NumericError,
-                      "prepared state norm is")
-    populations = probabilities.reshape(len(params), 8, -1).sum(axis=2)
-    names, values, populations, columns = _stages(populations, spec.noise, shots, seed)
-    return SweepDataset(spec, names, log_z, values, populations, *columns)
-
-
 def run_point(
     params: model.ModelParams,
     noise: NoiseOptions | None = None,
     shots: int | None = None,
     seed: int | None = None,
 ) -> SweepRow:
-    """Run the full pipeline at one parameter point: a batch of one.
+    """Run the full pipeline at one triangle point: a batch of one.
 
-    With `shots` the ideal readouts are finite-sample estimates; the one
-    at position `index` of LABELS draws from the stream `seed + index`.
+    `shots` and `seed` sample the ideal readouts as in `run_sweep`.
     """
+    if params.topology != model.TRIANGLE:
+        raise TopologyError(f"run_point reads a triangle, not a {params.topology}")
     spec = SweepSpec(betas=(params.beta,), fields=(params.h,), J=params.J, noise=noise)
-    return run_batch(spec, [params], shots, seed).row(0)
+    return run_sweep(spec, shots, seed).row(0)
 
 
 def check_writable(out_dir: str) -> None:
@@ -292,11 +267,25 @@ def check_writable(out_dir: str) -> None:
     os.remove(probe_path)
 
 
-def run_sweep(spec: SweepSpec) -> SweepDataset:
-    """Run every grid point, in row-major order, as one batch."""
-    points = [(beta, h) for beta in spec.betas for h in spec.fields]
-    params = [model.ModelParams(J=spec.J, h=h, beta=beta) for beta, h in points]
-    return run_batch(spec, params)
+def run_sweep(spec: SweepSpec, shots: int | None = None,
+              seed: int | None = None) -> SweepDataset:
+    """Run every triangle point of `spec`'s grid, in row-major order, as one
+    batch: one circuit, built for the first point, over each point's angles.
+
+    With `shots` the ideal readouts are finite-sample estimates.  Point b's
+    readout at position i of LABELS draws from the stream
+    `seed + b * len(LABELS) + i`, so no two readouts of a batch share one.
+    """
+    params = [model.ModelParams(J=spec.J, h=h, beta=beta)
+              for beta in spec.betas for h in spec.fields]
+    log_z = model.gibbs_tables(params)[2]
+    circuit = synth.build_circuit(params[0])
+    angles = [circuit.angles, *map(synth.rotation_angles, params[1:])]
+    populations = abs(engine.run_circuits(circuit, angles)) ** 2
+    errors.check_unit(np.sqrt(populations.sum(axis=1)), 1e-9, NumericError,
+                      "prepared state norm is")
+    names, values, populations, columns = _stages(populations, spec.noise, shots, seed)
+    return SweepDataset(spec, names, log_z, values, populations, *columns)
 
 
 def magnetization_slice(dataset: SweepDataset, beta: float) -> np.ndarray:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cetsim.errors import DomainError, NumericError
-from cetsim.model import ModelParams
 from cetsim.noise import default_decay_table
 from cetsim.outputs import (
     CSV_HEADER,
@@ -22,7 +21,7 @@ from cetsim.outputs import (
     write_line_plot,
 )
 from cetsim.reconstruct import LABELS
-from cetsim.sweep import NoiseOptions, SweepDataset, SweepSpec, run_batch, run_sweep
+from cetsim.sweep import NoiseOptions, SweepDataset, SweepSpec, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -196,8 +195,7 @@ def _shots():
     spec = SweepSpec(
         betas=(0.3,), fields=(0.2,), noise=NoiseOptions(eta=0.9, recover="auto")
     )
-    params = [ModelParams(J=1.0, h=0.2, beta=0.3)]
-    dataset = run_batch(spec, params, shots=4096, seed=5)
+    dataset = run_sweep(spec, shots=4096, seed=5)
     assert (dataset.values[:, 0, LABELS.index("Z1")].imag != 0.0).any()
     return dataset
 

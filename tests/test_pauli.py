@@ -72,11 +72,10 @@ def test_label_parse_round_trip():
         assert PauliString.parse(s.label(), 3) == s
 
 
-def test_is_diagonal_and_weight():
+def test_is_diagonal():
     assert PauliString.parse("Z1Z3", 3).is_diagonal
     assert PauliString.identity(3).is_diagonal
     assert not PauliString.parse("X1", 3).is_diagonal
-    assert PauliString.parse("Z1Z3", 3).weight == 2
 
 
 def test_apply_matches_dense_kron_two_qubits():

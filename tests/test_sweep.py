@@ -6,7 +6,7 @@ import pytest
 from cetsim import cli, engine, reconstruct, synth
 from cetsim import sweep as sweep_mod
 from cetsim.errors import DomainError, IncompleteSetError, TopologyError
-from cetsim.model import CHAIN, ModelParams, exact_entropy, exact_expectation
+from cetsim.model import CHAIN, ModelParams, exact_entropy
 from cetsim.pauli import PauliString
 from cetsim.noise import DecayProfile, default_decay_table
 from cetsim.outputs import emit_outputs
@@ -18,7 +18,6 @@ from cetsim.sweep import (
     NoiseOptions,
     SweepSpec,
     magnetization_slice,
-    run_batch,
     run_point,
     run_sweep,
     with_parallelism,
@@ -186,6 +185,17 @@ class TestRunPoint:
         assert av == bv
         assert any(av.value(lbl) != cv.value(lbl) for lbl in LABELS)
 
+    def test_equal_points_of_a_seeded_batch_draw_apart(self):
+        spec = SweepSpec(betas=(0.3,), fields=(0.2, 0.2))
+        dataset = run_sweep(spec, shots=64, seed=5)
+        first, second = (dataset.row(b).result(PROVENANCE_IDEAL) for b in (0, 1))
+        assert first.measurements != second.measurements
+        # point b draws label i from seed + b * len(LABELS) + i
+        point = run_point(triangle(0.3, 0.2), shots=64, seed=5)
+        assert first.measurements == point.result(PROVENANCE_IDEAL).measurements
+        later = run_point(triangle(0.3, 0.2), shots=64, seed=5 + len(LABELS))
+        assert second.measurements == later.result(PROVENANCE_IDEAL).measurements
+
 
 class TestSinglePreparation:
     @pytest.mark.parametrize(
@@ -261,14 +271,14 @@ class TestSinglePreparation:
                         )
                         assert abs(ms.value(label) - probe.value) <= 1e-12
 
-    def test_chain_reads_first_three_spins(self):
-        params = ModelParams(J=1.0, h=0.3, beta=1.0, n=5, topology=CHAIN)
-        ms = run_point(params).result(PROVENANCE_IDEAL).measurements
-        for label in LABELS:
-            exact = exact_expectation(params, PauliString.parse(label, 5))
-            assert abs(ms.value(label) - exact) <= 1e-12
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_chain_is_rejected_before_compute(self, n, monkeypatch):
+        def no_circuit(*args, **kwargs):
+            raise AssertionError("no circuit may run for a chain")
+
+        monkeypatch.setattr(engine, "run_circuits", no_circuit)
         with pytest.raises(TopologyError):
-            run_point(ModelParams(J=1.0, h=0.3, beta=1.0, n=2, topology=CHAIN))
+            run_point(ModelParams(J=1.0, h=0.3, beta=1.0, n=n, topology=CHAIN))
 
     def test_sampled_readouts_keep_probe_streams(self):
         seed = 41
@@ -299,12 +309,6 @@ class TestSweepSpec:
     def test_bad_format(self):
         with pytest.raises(DomainError):
             SweepSpec(betas=(1.0,), fields=(1.0,), formats=("xlsx",))
-
-    @pytest.mark.parametrize("count", [0, 1, 3])
-    def test_batch_must_fill_the_grid(self, count):
-        spec = SweepSpec(betas=(1.0,), fields=(0.0, 1.0))
-        with pytest.raises(DomainError, match=f"^{count} rows for 2 points$"):
-            run_batch(spec, [triangle(1.0, 0.0)] * count)
 
 
 class TestRunSweep:
