@@ -22,15 +22,7 @@ import numpy as np
 
 from . import model, noise, outputs, reconstruct, sweep, synth
 from .engine import run_circuit
-from .errors import (
-    CapacityError,
-    DomainError,
-    IncompleteSetError,
-    NonPhysicalStateError,
-    NumericError,
-    PauliParseError,
-    TopologyError,
-)
+from .errors import CetsError, DomainError, NonPhysicalStateError, NumericError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -192,6 +184,8 @@ def _print_row(row: sweep.SweepRow) -> None:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     model.ModelParams(J=args.J, h=args.h, beta=args.beta)  # a bad --beta is reported first
+    if args.seed is not None and args.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {args.seed}")
     spec = sweep.SweepSpec(
         betas=(args.beta,), fields=(args.h,), J=args.J, noise=_noise_options(args),
         formats=("csv",) if args.format is None else args.format,
@@ -258,6 +252,10 @@ def _cmd_noise_study(args: argparse.Namespace) -> int:
         else float(args.recover)
     )
     rho_rec = noise.recover(rho_noisy, lam)
+    # --eta and --recover are checked by now; an unwritable destination
+    # fails before the report is computed and printed
+    if args.out_dir is not None:
+        sweep.check_writable(args.out_dir)
 
     readouts = {
         stage: reconstruct.readouts(np.real(np.diag(rho.matrix))).tolist()
@@ -296,7 +294,6 @@ def _cmd_noise_study(args: argparse.Namespace) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, "noise_study.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
@@ -379,19 +376,12 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return EXIT_OK if not exc.code else int(exc.code)
         return args.func(args)
-    except (
-        DomainError,
-        TopologyError,
-        CapacityError,
-        PauliParseError,
-        IncompleteSetError,
-        json.JSONDecodeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (NumericError, NonPhysicalStateError) as exc:
         print(f"numeric-consistency error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (CetsError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

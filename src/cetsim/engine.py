@@ -40,7 +40,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        # gates write through reshape views of one contiguous buffer
+        # run_circuit hands over a strided row of its batch; the dot
+        # products read one contiguous buffer
         self.amplitudes = np.ascontiguousarray(self.amplitudes)
         size = self.amplitudes.shape[0]
         if self.amplitudes.ndim != 1 or size & (size - 1) or size == 0:
@@ -87,18 +88,6 @@ def _apply(amps: np.ndarray, gate: synth.Gate, cos=None, sin=None) -> None:
         a0[...], a1[...] = -1j * a1, 1j * a0
     else:  # Z
         np.negative(a1, out=a1)
-
-
-def apply_gate(state: StateVector, gate: synth.Gate) -> StateVector:
-    """Apply one gate in place and return the same StateVector."""
-    n = state.qubit_count
-    touched = (gate.target, *gate.controls)
-    if max(touched) >= n:
-        raise DomainError(f"gate touches qubit {max(touched)}, register has {n}")
-    theta = gate.theta or 0.0
-    view = state.amplitudes.reshape((2,) * n + (1,))
-    _apply(view, gate, complex(math.cos(theta)), complex(math.sin(theta)))
-    return state
 
 
 def run_circuits(

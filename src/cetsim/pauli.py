@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import PauliParseError
 
 _LETTERS = "IXYZ"
@@ -91,18 +92,16 @@ class PauliString:
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """Return P |psi> for an amplitude vector of length 2**num_qubits.
 
-        Site 0 is the most significant bit of the vector index.
+        Site 0 is the most significant bit of the vector index.  X and Y flip
+        their sites' bits, Y and Z sign them through `model.z_signs`, so
+        (P psi)[j] = (-i)**#Y * z(j) * psi[j ^ flip].
         """
         n = self.num_qubits
         if amplitudes.shape != (2**n,):
             raise PauliParseError(
                 f"amplitude vector has shape {amplitudes.shape}, expected ({2**n},)"
             )
-        from . import engine, synth  # engine imports this module
-
-        state = engine.StateVector(np.array(amplitudes, dtype=complex))
-        for site, letter in enumerate(self.letters):
-            if letter != "I":
-                gate = synth.Gate(kind="pauli", target=site, letter=letter)
-                engine.apply_gate(state, gate)
-        return state.amplitudes
+        flip = sum(1 << (n - 1 - i) for i, c in enumerate(self.letters) if c in "XY")
+        signed = [i for i, c in enumerate(self.letters) if c in "YZ"]
+        phase = (-1j) ** self.letters.count("Y")
+        return phase * model.z_signs(n, signed) * amplitudes[np.arange(2**n) ^ flip]

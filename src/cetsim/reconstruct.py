@@ -82,10 +82,9 @@ class MeasurementSet:
 
 @dataclass(frozen=True)
 class DiagonalDensity:
-    """Populations over the eight spin configurations, plus provenance."""
+    """Populations over the eight spin configurations."""
 
     populations: np.ndarray
-    provenance: str = "ideal"
 
     def __post_init__(self) -> None:
         if self.populations.shape != (8,):
@@ -144,12 +143,10 @@ def entropies(populations: np.ndarray, policy: str = "strict") -> np.ndarray:
     return model.shannon_entropy(p)
 
 
-def assemble_density(
-    measurements: MeasurementSet, provenance: str = "ideal"
-) -> DiagonalDensity:
+def assemble_density(measurements: MeasurementSet) -> DiagonalDensity:
     """Invert the readout set into populations (real parts only)."""
     populations = invert(measurements.real_vector())
-    return DiagonalDensity(populations=populations, provenance=provenance)
+    return DiagonalDensity(populations=populations)
 
 
 def entropy(density: DiagonalDensity, policy: str = "strict") -> float:

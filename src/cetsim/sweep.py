@@ -1,7 +1,7 @@
 """Phase-diagram sweeps: synthesise, simulate, measure, reconstruct.
 
 One array pipeline, `run_sweep`, serves every point: a `SweepSpec` names
-a batch, and `run_sweep` forms its grid's triangle points and simulates
+a batch and forms its grid's triangle points, and `run_sweep` simulates
 them in one `engine.run_circuits` pass, one circuit over B rows of
 angles.  `run_point` is the batch of one.  `_stages` stacks the provenance
 stages (ideal, noisy, recovered) along a leading axis and reconstructs
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -113,13 +113,19 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A full sweep request."""
+    """A full sweep request.
+
+    `points` holds the grid's triangle `ModelParams` in row-major (beta
+    outer, h inner) order.  They are formed here, once, so a bad grid
+    value is reported when the spec is made, before any output is touched.
+    """
 
     betas: tuple[float, ...]
     fields: tuple[float, ...]
     J: float = 1.0
     noise: NoiseOptions | None = None
     formats: tuple[str, ...] = ("csv",)
+    points: tuple[model.ModelParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.betas or not self.fields:
@@ -127,6 +133,9 @@ class SweepSpec:
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise DomainError(f"unknown output format {fmt!r}")
+        points = [model.ModelParams(J=self.J, h=h, beta=beta)
+                  for beta in self.betas for h in self.fields]
+        object.__setattr__(self, "points", tuple(points))
 
 
 @dataclass(frozen=True)
@@ -276,11 +285,9 @@ def run_sweep(spec: SweepSpec, shots: int | None = None,
     readout at position i of LABELS draws from the stream
     `seed + b * len(LABELS) + i`, so no two readouts of a batch share one.
     """
-    params = [model.ModelParams(J=spec.J, h=h, beta=beta)
-              for beta in spec.betas for h in spec.fields]
-    log_z = model.gibbs_tables(params)[2]
-    circuit = synth.build_circuit(params[0])
-    angles = [circuit.angles, *map(synth.rotation_angles, params[1:])]
+    log_z = model.gibbs_tables(spec.points)[2]
+    circuit = synth.build_circuit(spec.points[0])
+    angles = [circuit.angles, *map(synth.rotation_angles, spec.points[1:])]
     populations = abs(engine.run_circuits(circuit, angles)) ** 2
     errors.check_unit(np.sqrt(populations.sum(axis=1)), 1e-9, NumericError,
                       "prepared state norm is")

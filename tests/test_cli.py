@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cetsim import cli
+from cetsim import cli, errors
 from cetsim.errors import NumericError
 from cetsim.model import ModelParams
 from cetsim.noise import DEFAULT_DURATIONS
@@ -221,8 +221,9 @@ class TestPoint:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--shots", "10", "--seed", "-1"], ["--shots", "100000000000000000000"]],
-        ids=["negative-seed", "shots-above-int64"],
+        [["--shots", "10", "--seed", "-1"], ["--shots", "100000000000000000000"],
+         ["--seed", "-1"]],
+        ids=["negative-seed", "shots-above-int64", "negative-seed-without-shots"],
     )
     def test_bad_shot_input_is_usage_error(self, capsys, flags):
         code, _, err = run_cli(
@@ -372,6 +373,19 @@ class TestSweep:
         assert code == cli.EXIT_IO
         assert "i/o error" in err
 
+    @pytest.mark.parametrize("blocked", [True, False], ids=["file-in-path", "new-dir"])
+    def test_bad_grid_value_is_reported_before_out_dir(self, capsys, tmp_path, blocked):
+        if blocked:
+            (tmp_path / "file").write_text("in the way")
+        out_dir = tmp_path / "file" / "x" if blocked else tmp_path / "new"
+        code, out, err = run_cli(
+            ["sweep", "--beta", "-1", "--h", "0", "--out-dir", str(out_dir)], capsys
+        )
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == "error: beta must be >= 0, got -1.0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["file"] if blocked else [])
+
 
 class TestCircuit:
     def test_stdout_export(self, capsys):
@@ -441,6 +455,30 @@ class TestNoiseStudy:
         saved = json.loads((tmp_path / "noise_study.json").read_text())
         assert saved == json.loads(out)
         assert "wrote" in err
+
+    def test_unwritable_out_dir_fails_before_compute(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("in the way")
+        code, out, err = run_cli(
+            ["noise-study", "--beta", "1", "--h", "0", "--eta", "0.5",
+             "--out-dir", str(blocker / "x")],
+            capsys,
+        )
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert err.startswith("i/o error")
+
+    @pytest.mark.parametrize("flag", [["--eta", "2"], ["--eta", "0.5", "--recover", "0"]])
+    def test_bad_input_is_reported_before_out_dir(self, capsys, tmp_path, flag):
+        code, out, err = run_cli(
+            ["noise-study", "--beta", "1", "--h", "0", *flag,
+             "--out-dir", str(tmp_path / "new")],
+            capsys,
+        )
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+        assert not (tmp_path / "new").exists()
 
     def test_format_flag_not_accepted(self, capsys):
         code, _, err = run_cli(
@@ -541,22 +579,50 @@ class TestConfig:
         assert code == cli.EXIT_IO
 
 
+#: The documented exit code of each error class; a new class needs an entry.
+_EXIT_BY_ERROR = {
+    errors.DomainError: cli.EXIT_USAGE,
+    errors.TopologyError: cli.EXIT_USAGE,
+    errors.CapacityError: cli.EXIT_USAGE,
+    errors.PauliParseError: cli.EXIT_USAGE,
+    errors.IncompleteSetError: cli.EXIT_USAGE,
+    errors.NumericError: cli.EXIT_NUMERIC,
+    errors.NonPhysicalStateError: cli.EXIT_NUMERIC,
+}
+
+
+def run_raising(error, capsys, monkeypatch):
+    """Run `point` with its command replaced by one raising `error`."""
+    def boom(args):
+        raise error
+
+    real_build = cli.build_parser
+
+    def patched_parser():
+        parser = real_build()
+        parser.command_parsers["point"].set_defaults(func=boom)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", patched_parser)
+    return run_cli(["point", "--beta", "1", "--h", "0"], capsys)
+
+
 class TestExitCodeMapping:
     def test_numeric_error_maps_to_3(self, capsys, monkeypatch):
-        def boom(args):
-            raise NumericError("synthetic inconsistency")
-
-        real_build = cli.build_parser
-
-        def patched_parser():
-            parser = real_build()
-            parser.command_parsers["point"].set_defaults(func=boom)
-            return parser
-
-        monkeypatch.setattr(cli, "build_parser", patched_parser)
-        code, _, err = run_cli(["point", "--beta", "1", "--h", "0"], capsys)
+        code, _, err = run_raising(
+            NumericError("synthetic inconsistency"), capsys, monkeypatch
+        )
         assert code == cli.EXIT_NUMERIC
         assert "numeric-consistency" in err
+
+    @pytest.mark.parametrize(
+        "error", errors.CetsError.__subclasses__(), ids=lambda cls: cls.__name__
+    )
+    def test_every_error_class_has_its_exit_code(self, capsys, monkeypatch, error):
+        code, out, err = run_raising(error("synthetic"), capsys, monkeypatch)
+        assert code == _EXIT_BY_ERROR[error]
+        assert out == ""
+        assert err.endswith(": synthetic\n")
 
 
 _INT64_MAX = 2**63 - 1

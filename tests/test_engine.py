@@ -5,7 +5,6 @@ import pytest
 
 from cetsim.engine import (
     StateVector,
-    apply_gate,
     direct_expectation,
     probe_expectation,
     run_circuit,
@@ -29,76 +28,59 @@ def rot(target, theta, controls=()):
     return Gate(kind="rot", target=target, controls=controls, theta=theta)
 
 
+def run(n, *gates):
+    """Amplitudes of `gates` run in order on |0...0> of n qubits."""
+    return run_circuit(Circuit(qubit_count=n, gates=gates)).amplitudes
+
+
 class TestApplyGate:
     def test_identity_rotation(self):
-        state = StateVector.zero(2)
-        apply_gate(state, rot(0, 0.0))
-        np.testing.assert_array_equal(state.amplitudes, [1, 0, 0, 0])
+        np.testing.assert_array_equal(run(2, rot(0, 0.0)), [1, 0, 0, 0])
 
     def test_quarter_turn_flips(self):
-        state = StateVector.zero(1)
-        apply_gate(state, rot(0, math.pi / 2))
-        np.testing.assert_allclose(state.amplitudes, [0, 1], atol=1e-15)
+        np.testing.assert_allclose(run(1, rot(0, math.pi / 2)), [0, 1], atol=1e-15)
 
     def test_rotation_matrix_orientation(self):
         # R(theta)|0> = cos|0> + sin|1>
-        state = StateVector.zero(1)
-        apply_gate(state, rot(0, 0.3))
         np.testing.assert_allclose(
-            state.amplitudes, [math.cos(0.3), math.sin(0.3)], atol=1e-15
+            run(1, rot(0, 0.3)), [math.cos(0.3), math.sin(0.3)], atol=1e-15
         )
 
     def test_big_endian_targeting(self):
         # qubit 0 is the most significant bit
-        state = StateVector.zero(3)
-        apply_gate(state, rot(0, math.pi / 2))
-        assert abs(state.amplitudes[0b100] - 1.0) < 1e-15
-        state = StateVector.zero(3)
-        apply_gate(state, rot(2, math.pi / 2))
-        assert abs(state.amplitudes[0b001] - 1.0) < 1e-15
+        assert abs(run(3, rot(0, math.pi / 2))[0b100] - 1.0) < 1e-15
+        assert abs(run(3, rot(2, math.pi / 2))[0b001] - 1.0) < 1e-15
 
     def test_control_gates_fire_on_one(self):
-        state = StateVector.zero(2)
-        apply_gate(state, rot(1, math.pi / 2, controls=(0,)))
-        np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-15)
-        apply_gate(state, rot(0, math.pi / 2))
-        apply_gate(state, rot(1, math.pi / 2, controls=(0,)))
-        np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-15)
+        controlled = rot(1, math.pi / 2, controls=(0,))
+        np.testing.assert_allclose(run(2, controlled), [1, 0, 0, 0], atol=1e-15)
+        flipped = run(2, controlled, rot(0, math.pi / 2), controlled)
+        np.testing.assert_allclose(flipped, [0, 0, 0, 1], atol=1e-15)
 
     def test_hadamard(self):
-        state = StateVector.zero(1)
-        apply_gate(state, Gate(kind="h", target=0))
-        np.testing.assert_allclose(
-            state.amplitudes, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-15
-        )
+        amps = run(1, Gate(kind="h", target=0))
+        np.testing.assert_allclose(amps, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-15)
 
     def test_pauli_gates(self):
         for letter, expected in (("X", [0, 1]), ("Y", [0, 1j]), ("Z", [1, 0])):
-            state = StateVector.zero(1)
-            apply_gate(state, Gate(kind="pauli", target=0, letter=letter))
-            np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
-
-    def test_in_place(self):
-        state = StateVector.zero(2)
-        assert apply_gate(state, rot(0, 0.2)) is state
+            amps = run(1, Gate(kind="pauli", target=0, letter=letter))
+            np.testing.assert_allclose(amps, expected, atol=1e-15)
 
     def test_out_of_range(self):
-        state = StateVector.zero(2)
+        # a target out of range is test_synth's test_circuit_bounds_check
         with pytest.raises(DomainError):
-            apply_gate(state, rot(2, 0.1))
-        with pytest.raises(DomainError):
-            apply_gate(state, rot(0, 0.1, controls=(5,)))
+            Circuit(qubit_count=2, gates=(rot(0, 0.1, controls=(5,)),))
 
     def test_norm_preserved_by_random_circuits(self):
         rng = np.random.default_rng(42)
-        state = StateVector.zero(4)
-        apply_gate(state, Gate(kind="h", target=0))
+        gates = [Gate(kind="h", target=0)]
         for _ in range(60):
             target = int(rng.integers(4))
             others = [q for q in range(4) if q != target]
             k = int(rng.integers(0, 3))
             controls = tuple(rng.choice(others, size=k, replace=False).tolist())
-            apply_gate(state, rot(target, float(rng.normal()), controls))
+            gates.append(rot(target, float(rng.normal()), controls))
+        state = run_circuit(Circuit(qubit_count=4, gates=tuple(gates)))
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 

@@ -1,3 +1,4 @@
+import ast
 import types
 from pathlib import Path
 
@@ -6,6 +7,36 @@ import cetsim.cli  # noqa: F401  (binds every module the tracer targets)
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+PACKAGE = Path(cetsim.__file__).resolve().parent
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def package_imports():
+    """(importer, imported module, nested) for each import of a cetsim module
+    in the package's own files; `nested` marks an import inside a function or class body.
+    A name of the package that is not one of its modules counts as __init__."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    found = []
+
+    def walk(importer, node, nested):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                base = "cetsim." * child.level + (child.module or "")
+                names = [f"{base.rstrip('.')}.{alias.name}" for alias in child.names]
+            for name in names:
+                package, _, rest = name.partition(".")
+                if package == "cetsim":
+                    module = rest.partition(".")[0]
+                    target = module if module in modules else "__init__"
+                    found.append((importer, target, nested))
+            walk(importer, child, nested or isinstance(child, _SCOPES))
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(path.stem, ast.parse(path.read_text(encoding="utf-8")), False)
+    return found
 
 
 def test_public_names_unique_and_resolvable():
@@ -26,6 +57,30 @@ def test_trace_targets_are_own_attributes():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_package_imports_sit_at_module_level():
+    # a function-level import is how an import cycle hides
+    nested = [(a, b) for a, b, inside in package_imports() if inside]
+    assert nested == []
+
+
+def test_module_import_graph_is_acyclic():
+    graph = {}
+    for importer, target, _ in package_imports():
+        if target != importer:
+            graph.setdefault(importer, set()).add(target)
+
+    def reachable(start):
+        seen, stack = set(), [start]
+        while stack:
+            for nxt in graph.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    assert sorted(m for m in graph if m in reachable(m)) == []
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

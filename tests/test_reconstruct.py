@@ -126,10 +126,6 @@ class TestAssembleDensity:
         assert density.populations.min() < -0.05
         assert not density.is_physical
 
-    def test_provenance_carried(self):
-        density = assemble_density(uniform_set(), provenance="recovered")
-        assert density.provenance == "recovered"
-
     def test_uses_real_parts_only(self):
         noisy_imag = {label: complex(0.0, 0.3) for label in LABELS}
         density = assemble_density(MeasurementSet(values=noisy_imag))
