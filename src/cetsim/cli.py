@@ -121,8 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number or lo:hi:steps")
     swp.add_argument("--J", type=float, default=1.0)
     swp.add_argument("--parallel", type=int, default=1, metavar="N",
-                     help="accepted (N >= 1) but changes nothing: every sweep "
-                          "runs as one batch in this process")
+                     help="N >= 1 processes write sweep.csv and sweep.json, at "
+                          "most one per CPU and per grid point; the points run "
+                          "as one batch in this process, and every output is "
+                          "byte-identical for any N")
     swp.add_argument("--plot", default=None,
                      help="comma-separated plot tokens, e.g. M-vs-h,S-heatmap")
     _add_noise_arguments(swp)
@@ -205,14 +207,20 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = args.out_dir if args.out_dir is not None else "."
+    try:
+        noise_options = _noise_options(args)
+    except (CetsError, OSError, json.JSONDecodeError):
+        # a bad grid value is reported first, as `point` reports a bad --beta
+        sweep.SweepSpec(betas=args.beta, fields=args.h, J=args.J)
+        raise
     spec = sweep.SweepSpec(
         betas=args.beta,
         fields=args.h,
         J=args.J,
-        noise=_noise_options(args),
+        noise=noise_options,
         formats=args.format,
+        parallelism=args.parallel,
     )
-    spec = sweep.with_parallelism(spec, args.parallel)
     plots = None if args.plot is None else args.plot.split(",")
     for token in plots or ():
         outputs.parse_plot_token(token)

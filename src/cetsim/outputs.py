@@ -6,18 +6,31 @@ runs of the same sweep produce byte-identical files.  A plot of a
 non-finite value raises NumericError before its file is opened.
 
 Every emitter reads the dataset's (stage, point) columns, never its
-per-point `rows` views.  `sweep.json` is streamed one beta's block of
-rows at a time through a fixed `%` template whose keys are already
-sorted; each number is spelled as `json` spells it, so the file is the
-one `json.dump(indent=2, sort_keys=True)` would write, without its
-pure-Python encoder.
+per-point `rows` views.  A row file (`sweep.csv`, `sweep.json`) is a
+fixed head, the rows of the grid's points in order, and a fixed tail.
+The rows of any contiguous range of points are spelled by one range
+speller per file, a chunk of points at a time, so neither file is held
+whole.  `sweep.json`'s rows are filled into a fixed `%` template whose
+keys are already sorted; each number is spelled as `json` spells it, so
+the file is the one `json.dump(indent=2, sort_keys=True)` would write,
+without its pure-Python encoder.
+
+When the spec asks for more than one worker, `emit_outputs` forks
+min(parallelism, os.cpu_count(), points) processes.  Each spells one
+contiguous range of points for every row file into an unlinked
+temporary file while this process draws the plots; the row files are
+then the head, the parts in order and the tail.  The bytes are those of
+the serial path, which spells one range, the whole grid, with no fork.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from typing import Iterable, Sequence
+import shutil
+import tempfile
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -26,6 +39,9 @@ from .errors import DomainError, NumericError
 from .reconstruct import LABELS
 
 CSV_HEADER = "beta,h,J,M,C2,C3,S,logZ,provenance"
+
+#: Grid points spelled at a time into a row file.
+_CHUNK = 256
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _DASHES = {"ideal": "", "simulated-noisy": "6,3", "recovered": "2,3"}
@@ -47,25 +63,53 @@ _QUANTITIES = {
 }
 
 
-def write_csv(dataset: sweep_mod.SweepDataset, path) -> None:
-    """One line per (grid point, provenance stage)."""
-    betas, fields, J = dataset.spec.betas, dataset.spec.fields, float(dataset.spec.J)
-    heads = [f"{float(b)!r},{float(h)!r},{J!r}," for b in betas for h in fields]
-    tails = [f",{z!r}," for z in dataset.log_partition.tolist()]
-    stages = []
-    for s, provenance in enumerate(dataset.provenances):
-        # M, C2, C3, S in CSV_HEADER's order, each column spelled in one pass
-        stats = zip(*(
-            map(float.__repr__, getattr(dataset, attr)[s].tolist())
-            for attr, _ in _QUANTITIES.values()
-        ))
-        stages.append([
-            head + ",".join(cells) + tail + provenance
-            for head, cells, tail in zip(heads, stats, tails)
-        ])
-    lines = [CSV_HEADER, *(line for point in zip(*stages) for line in point)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _csv_rows(dataset: sweep_mod.SweepDataset, points: range) -> Iterator[str]:
+    """The CSV lines of `points`, one line per (point, provenance stage),
+    each ended by a newline; every axis value is spelled once."""
+    spec = dataset.spec
+    width = len(spec.fields)
+    J = f"{float(spec.J)!r},"
+    betas = [f"{float(b)!r}," for b in spec.betas]
+    fields = [f"{float(h)!r},{J}" for h in spec.fields]
+    for start in range(0, len(points), _CHUNK):
+        chunk = points[start : start + _CHUNK]
+        span = slice(chunk.start, chunk.stop)
+        heads = [betas[b // width] + fields[b % width] for b in chunk]
+        tails = [f",{z!r}," for z in dataset.log_partition[span].tolist()]
+        stages = []
+        for s, provenance in enumerate(dataset.provenances):
+            # M, C2, C3, S in CSV_HEADER's order, each column spelled in one pass
+            stats = zip(*(
+                map(float.__repr__, getattr(dataset, attr)[s, span].tolist())
+                for attr, _ in _QUANTITIES.values()
+            ))
+            stages.append([
+                head + ",".join(cells) + tail + provenance + "\n"
+                for head, cells, tail in zip(heads, stats, tails)
+            ])
+        yield "".join(line for point in zip(*stages) for line in point)
+
+
+def write_csv(dataset: sweep_mod.SweepDataset, path, parts=None) -> None:
+    """One line per (grid point, provenance stage).
+
+    `parts`, when given, are binary files that hold the `_csv_rows` of
+    consecutive point ranges covering the grid, in order.
+    """
+    _write_rows(path, CSV_HEADER + "\n", _csv_rows, dataset, parts, "")
+
+
+def _write_rows(path, head: str, rows, dataset, parts, tail: str) -> None:
+    """Write head, every point's rows and tail to `path`: the rows are
+    copied from `parts`, or spelled here over the whole grid."""
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        if parts is None:
+            fh.writelines(map(str.encode, rows(dataset, range(len(dataset.log_partition)))))
+        for part in parts or ():
+            part.seek(0)
+            shutil.copyfileobj(part, fh)
+        fh.write(tail.encode())
 
 
 def _spec_payload(spec: sweep_mod.SweepSpec) -> dict:
@@ -124,51 +168,62 @@ _ROW = _template(
 )
 
 
-def _slot_matrix(dataset: sweep_mod.SweepDataset) -> np.ndarray:
+def _slot_matrix(dataset: sweep_mod.SweepDataset, points: slice) -> np.ndarray:
     """(points, 1 + stages x 26): logZ, then per stage C2, C3, M, S, (imag,
     real) per label in _OBSERVABLE_ORDER and the eight populations."""
     stats = np.stack([dataset.pair_correlation, dataset.triple_correlation,
-                      dataset.magnetization, dataset.entropy], axis=-1)
-    values = dataset.values[..., [LABELS.index(label) for label in _OBSERVABLE_ORDER]]
+                      dataset.magnetization, dataset.entropy], axis=-1)[:, points]
+    order = [LABELS.index(label) for label in _OBSERVABLE_ORDER]
+    values = dataset.values[:, points][..., order]
     parts = np.stack([values.imag, values.real], axis=-1).reshape(*stats.shape[:2], -1)
-    stages = np.concatenate([stats, parts, dataset.populations], axis=-1)
-    return np.hstack([dataset.log_partition[:, None], *stages])
+    stages = np.concatenate([stats, parts, dataset.populations[:, points]], axis=-1)
+    return np.hstack([dataset.log_partition[points, None], *stages])
 
 
-def write_json(dataset: sweep_mod.SweepDataset, path) -> None:
-    """Full dataset, including raw complex readouts and populations.
+def _json_rows(dataset: sweep_mod.SweepDataset, points: range) -> Iterator[str]:
+    """`points`' stretch of the "rows" list of `sweep.json`: each row after
+    its separator, so the stretches of consecutive ranges concatenate.
 
-    The bytes are those of json.dump(payload, indent=2, sort_keys=True)
-    plus a newline, with beta, h and J spelled from the spec's own values.
-    Each beta's block of rows is spelled in one pass over its slot matrix
-    and filled into one row template, whose slots follow the matrix, then
-    written, so the document is never held whole.
+    A chunk of rows is spelled in one pass over its slot matrix and filled
+    into one row template, whose slots follow the matrix.
     """
-    spec = json.dumps(_spec_payload(dataset.spec), indent=2, sort_keys=True)
     numbers = ["%s"] * (4 + 2 * len(LABELS))
     stages = [
         _STAGE % (*numbers, _list(["%s"] * 8, 10), json.dumps(name).replace("%", "%%"))
         for name in dataset.provenances
     ]
     template = _ROW % ("%s", "%s", "%s", "%s", _list(stages, 6))
-    J = json.dumps(dataset.spec.J)
-    fields = list(map(json.dumps, dataset.spec.fields))
-    matrix = _slot_matrix(dataset)
-    width = matrix.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write('{\n  "rows": [')
-        for bi, beta in enumerate(map(json.dumps, dataset.spec.betas)):
-            block = matrix[dataset.beta_points(bi)]
-            # json spells NaN and the infinities; float.__repr__ every finite float
-            spell = float.__repr__ if np.isfinite(block).all() else json.dumps
-            texts = list(map(spell, block.ravel().tolist()))
-            rows = [
-                template % (J, beta, h, *texts[i * width : (i + 1) * width])
-                for i, h in enumerate(fields)
-            ]
-            fh.write(("\n    " if bi == 0 else ",\n    ") + ",\n    ".join(rows))
-        fh.write("\n  ],\n")
-        fh.write('  "spec": ' + spec.replace("\n", "\n  ") + "\n}\n")
+    spec = dataset.spec
+    width = len(spec.fields)
+    J = json.dumps(spec.J)
+    betas = list(map(json.dumps, spec.betas))
+    fields = list(map(json.dumps, spec.fields))
+    for start in range(0, len(points), _CHUNK):
+        chunk = points[start : start + _CHUNK]
+        block = _slot_matrix(dataset, slice(chunk.start, chunk.stop))
+        # json spells NaN and the infinities; float.__repr__ every finite float
+        spell = float.__repr__ if np.isfinite(block).all() else json.dumps
+        texts = list(map(spell, block.ravel().tolist()))
+        slots = block.shape[1]
+        rows = [
+            template % (J, betas[b // width], fields[b % width],
+                        *texts[i * slots : (i + 1) * slots])
+            for i, b in enumerate(chunk)
+        ]
+        yield ("\n    " if chunk.start == 0 else ",\n    ") + ",\n    ".join(rows)
+
+
+def write_json(dataset: sweep_mod.SweepDataset, path, parts=None) -> None:
+    """Full dataset, including raw complex readouts and populations.
+
+    The bytes are those of json.dump(payload, indent=2, sort_keys=True)
+    plus a newline, with beta, h and J spelled from the spec's own values.
+    `parts`, when given, are binary files that hold the `_json_rows` of
+    consecutive point ranges covering the grid, in order.
+    """
+    spec = json.dumps(_spec_payload(dataset.spec), indent=2, sort_keys=True)
+    tail = '\n  ],\n  "spec": ' + spec.replace("\n", "\n  ") + "\n}\n"
+    _write_rows(path, '{\n  "rows": [', _json_rows, dataset, parts, tail)
 
 
 def _scale_colors(t: np.ndarray) -> list[str]:
@@ -369,7 +424,7 @@ def _plot_files(
     dataset: sweep_mod.SweepDataset, plots: Sequence[str], out_dir: str
 ) -> list[str]:
     written = []
-    for token in plots:
+    for token in dict.fromkeys(plots):  # each token once, first one first
         quantity, kind = parse_plot_token(token)
         if kind == "-vs-h":
             path = os.path.join(out_dir, f"line_{quantity}_vs_h.svg")
@@ -392,24 +447,75 @@ def default_plots(dataset: sweep_mod.SweepDataset) -> list[str]:
     return plots
 
 
+def _row_worker(
+    dataset: sweep_mod.SweepDataset, parts: dict, w: int, workers: int
+) -> NoReturn:
+    """Spell the w-th of `workers` consecutive point ranges into the w-th
+    file of each format's parts, {format: files}, and end this forked
+    process.  It never returns into the caller, flushes no inherited stdio
+    buffer and runs no exit hook; it makes no BLAS call."""
+    status = 1
+    try:
+        points = len(dataset.log_partition)
+        span = range(points * w // workers, points * (w + 1) // workers)
+        for fmt, files in parts.items():
+            rows = _csv_rows if fmt == "csv" else _json_rows
+            files[w].writelines(map(str.encode, rows(dataset, span)))
+            files[w].flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def emit_outputs(
     dataset: sweep_mod.SweepDataset,
     formats: Iterable[str],
     out_dir: str,
     plots: Sequence[str] | None = None,
 ) -> list[str]:
-    """Write the requested formats into out_dir and return the paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+    """Write the requested formats into out_dir and return the paths, in
+    `formats` order.
+
+    The plots are drawn first, while any forked workers spell the row
+    files' parts; every worker is reaped before this returns or raises,
+    and one that failed raises OSError.
+    """
+    formats = list(formats)
     for fmt in formats:
-        if fmt in ("csv", "json"):
-            path = os.path.join(out_dir, f"sweep.{fmt}")
-            (write_csv if fmt == "csv" else write_json)(dataset, path)
-            written.append(path)
-        elif fmt == "svg":
-            written += _plot_files(
-                dataset, plots if plots else default_plots(dataset), out_dir
-            )
-        else:
+        if fmt not in sweep_mod.FORMATS:
             raise DomainError(f"unknown output format {fmt!r}")
-    return written
+    os.makedirs(out_dir, exist_ok=True)
+    rows = [fmt for fmt in formats if fmt != "svg"]
+    workers = min(dataset.spec.parallelism, os.cpu_count() or 1, len(dataset.log_partition))
+    if not rows or workers < 2 or not hasattr(os, "fork"):
+        workers = 0  # the row files are spelled in this process
+    written = {}
+    with contextlib.ExitStack() as stack:
+        parts = {
+            fmt: [stack.enter_context(tempfile.TemporaryFile(dir=out_dir))
+                  for _ in range(workers)]
+            for fmt in rows
+        }
+        pids = []
+        try:
+            for w in range(workers):
+                pid = os.fork()
+                if pid == 0:
+                    _row_worker(dataset, parts, w, workers)
+                pids.append(pid)
+            if "svg" in formats:
+                written["svg"] = _plot_files(
+                    dataset, plots if plots else default_plots(dataset), out_dir
+                )
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        failed = [os.waitstatus_to_exitcode(status) for status in statuses if status]
+        if failed:
+            raise OSError(f"a sweep row worker exited with status {failed[0]}")
+        for fmt in rows:
+            path = os.path.join(out_dir, f"sweep.{fmt}")
+            writer = write_csv if fmt == "csv" else write_json
+            # `parts` by keyword: a writer's path is its last positional argument
+            writer(dataset, path, parts=parts[fmt] or None)
+            written[fmt] = [path]
+    return [path for fmt in formats for path in written[fmt]]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -118,6 +118,8 @@ class SweepSpec:
     `points` holds the grid's triangle `ModelParams` in row-major (beta
     outer, h inner) order.  They are formed here, once, so a bad grid
     value is reported when the spec is made, before any output is touched.
+    `parallelism` is the number of processes that may write the row files
+    (see `outputs.emit_outputs`); it changes no byte of any output.
     """
 
     betas: tuple[float, ...]
@@ -125,6 +127,7 @@ class SweepSpec:
     J: float = 1.0
     noise: NoiseOptions | None = None
     formats: tuple[str, ...] = ("csv",)
+    parallelism: int = 1
     points: tuple[model.ModelParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -136,6 +139,8 @@ class SweepSpec:
         points = [model.ModelParams(J=self.J, h=h, beta=beta)
                   for beta in self.betas for h in self.fields]
         object.__setattr__(self, "points", tuple(points))
+        if self.parallelism < 1:
+            raise DomainError(f"parallelism must be >= 1, got {self.parallelism}")
 
 
 @dataclass(frozen=True)
@@ -304,8 +309,13 @@ def magnetization_slice(dataset: SweepDataset, beta: float) -> np.ndarray:
 
 
 def with_parallelism(spec: SweepSpec, parallelism: int) -> SweepSpec:
-    """`spec` itself once `parallelism` >= 1 is checked: every sweep runs as
-    one batch in this process, so the worker count changes nothing."""
-    if parallelism < 1:
-        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
-    return spec
+    """`spec` with `parallelism` >= 1 worker processes for its row files;
+    `spec` itself when the count is unchanged.
+
+    The points are always simulated as one batch in this process; the
+    workers only spell `sweep.csv` and `sweep.json`, and the outputs are
+    byte-identical for any count.
+    """
+    if parallelism == spec.parallelism:
+        return spec
+    return replace(spec, parallelism=parallelism)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -385,6 +386,76 @@ class TestSweep:
         assert out == ""
         assert err == "error: beta must be >= 0, got -1.0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == (["file"] if blocked else [])
+
+    @pytest.mark.parametrize("command", ["point", "sweep"])
+    @pytest.mark.parametrize(
+        "noise_flags",
+        [["--eta", "2"], ["--decay-profile", "no-such-table.json"]],
+        ids=["bad-eta", "missing-table"],
+    )
+    def test_bad_grid_value_is_reported_before_bad_noise(
+        self, capsys, monkeypatch, tmp_path, command, noise_flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            [command, "--beta", "-1", "--h", "0", *noise_flags], capsys
+        )
+        assert (code, out, err) == (
+            cli.EXIT_USAGE, "", "error: beta must be >= 0, got -1.0\n"
+        )
+
+    def test_repeated_plot_token_writes_once(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            ["sweep", "--beta", "1", "--h", "0", "--format", "svg",
+             "--plot", "M-vs-h,M-vs-h", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == cli.EXIT_OK
+        assert out == f"wrote {tmp_path / 'line_M_vs_h.svg'}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["line_M_vs_h.svg"]
+
+
+class TestParallelSweep:
+    ARGV = ["sweep", "--beta", "1:2:2", "--h", "-1:1:3", "--format", "csv,json,svg",
+            "--parallel", "2"]
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # two workers on any machine
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_failed_worker_is_io_error(self, capsys, monkeypatch, tmp_path):
+        def broken(*args):
+            raise RuntimeError("worker fault")
+
+        # only the forked workers spell rows, so only they raise
+        monkeypatch.setattr(cli.outputs, "_slot_matrix", broken)
+        code, out, err = run_cli(self.ARGV + ["--out-dir", str(tmp_path)], capsys)
+        assert code == cli.EXIT_IO
+        assert out == ""
+        assert err == "i/o error: a sweep row worker exited with status 1\n"
+        assert not (tmp_path / "sweep.json").exists()
+
+    def test_non_finite_plot_reaps_workers(self, capsys, monkeypatch, tmp_path, forks):
+        real_run_sweep = cli.sweep.run_sweep
+
+        def nan_magnetization(spec):
+            dataset = real_run_sweep(spec)
+            column = dataset.magnetization.copy()
+            column[0, 0] = float("nan")
+            return dataclasses.replace(dataset, magnetization=column)
+
+        monkeypatch.setattr(cli.sweep, "run_sweep", nan_magnetization)
+        code, out, err = run_cli(self.ARGV + ["--out-dir", str(tmp_path)], capsys)
+        assert code == cli.EXIT_NUMERIC
+        assert out == ""
+        assert err == (
+            "numeric-consistency error: cannot plot non-finite M of stage ideal\n"
+        )
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCircuit:

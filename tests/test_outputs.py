@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from cetsim import outputs
 from cetsim.errors import DomainError, NumericError
 from cetsim.noise import default_decay_table
 from cetsim.outputs import (
@@ -21,7 +23,13 @@ from cetsim.outputs import (
     write_line_plot,
 )
 from cetsim.reconstruct import LABELS
-from cetsim.sweep import NoiseOptions, SweepDataset, SweepSpec, run_sweep
+from cetsim.sweep import (
+    NoiseOptions,
+    SweepDataset,
+    SweepSpec,
+    run_sweep,
+    with_parallelism,
+)
 
 
 @pytest.fixture(scope="module")
@@ -380,3 +388,82 @@ class TestEmitOutputs:
         for pa, pb in zip(paths_a, paths_b):
             with open(pa, "rb") as fa, open(pb, "rb") as fb:
                 assert fa.read() == fb.read()
+
+    def test_repeated_plot_token_draws_once(self, ideal_dataset, tmp_path):
+        written = emit_outputs(ideal_dataset, ["svg"], str(tmp_path),
+                               plots=["S-vs-h", "M-vs-h", "S-vs-h"])
+        assert [p.rsplit("/", 1)[1] for p in written] == [
+            "line_S_vs_h.svg", "line_M_vs_h.svg",
+        ]
+
+
+def _one_beta():
+    noise = NoiseOptions(eta=0.7, recover="auto")
+    return run_sweep(SweepSpec(betas=(2.0,), fields=tuple(np.linspace(-2, 2, 7)),
+                               noise=noise))
+
+
+def _one_point():
+    return run_sweep(SweepSpec(betas=(0.5,), fields=(0.25,)))
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    # the worker count is capped by the CPU count; a 64-CPU answer lets the
+    # small grids below reach every split on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+
+
+def _emit(dataset, workers, formats, out_dir):
+    """Relative paths `emit_outputs` returned and {name: bytes} it wrote."""
+    spec = with_parallelism(dataset.spec, workers)
+    paths = emit_outputs(dataclasses.replace(dataset, spec=spec), formats, str(out_dir))
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    return [os.path.relpath(p, out_dir) for p in paths], files
+
+
+class TestParallelRows:
+    @pytest.mark.parametrize(
+        "build", [_one_beta, _one_point, _decay_t1, _special_floats],
+        ids=["one-beta", "one-point", "decay-t1", "special-floats"],
+    )
+    @pytest.mark.parametrize("chunk", [2, 256], ids=["chunk-2", "chunk-256"])
+    def test_outputs_identical_for_any_worker_count(
+        self, build, chunk, forks, many_cpus, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(outputs, "_CHUNK", chunk)
+        dataset = build()
+        points = len(dataset.log_partition)
+        formats = ["csv", "json"]
+        if np.isfinite(dataset.entropy).all():  # special floats cannot be plotted
+            formats.append("svg")
+        serial = _emit(dataset, 1, formats, tmp_path / "serial")
+        assert forks == []
+        for workers in (2, 3, points + 1):
+            del forks[:]
+            assert _emit(dataset, workers, formats, tmp_path / str(workers)) == serial
+            expected = min(workers, points)
+            assert len(forks) == (expected if expected > 1 else 0)
+
+    def test_workers_capped_by_cpus_and_points(self, ideal_dataset, forks, tmp_path):
+        dataset = dataclasses.replace(
+            ideal_dataset, spec=with_parallelism(ideal_dataset.spec, 10**6)
+        )
+        emit_outputs(dataset, ["csv", "json"], str(tmp_path))
+        cap = min(os.cpu_count() or 1, 6)
+        assert len(forks) == (cap if cap > 1 else 0)
+
+    def test_default_parallelism_never_forks(self, noisy_dataset, monkeypatch, tmp_path):
+        def no_fork():
+            raise AssertionError("a sweep with parallelism 1 must not fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert noisy_dataset.spec.parallelism == 1
+        assert len(emit_outputs(noisy_dataset, ["csv", "json", "svg"], str(tmp_path))) == 10
+
+    def test_temporary_parts_leave_no_file(self, ideal_dataset, many_cpus, tmp_path):
+        dataset = dataclasses.replace(
+            ideal_dataset, spec=with_parallelism(ideal_dataset.spec, 2)
+        )
+        emit_outputs(dataset, ["json", "csv"], str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.json"]

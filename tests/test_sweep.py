@@ -306,6 +306,16 @@ class TestSweepSpec:
         assert "parallelism must be >= 1" in capsys.readouterr().err
         assert cli.main(argv + ["--parallel", "2"]) == cli.EXIT_OK
 
+    def test_with_parallelism_sets_the_count(self):
+        spec = SweepSpec(betas=(1.0, 2.0), fields=(0.0,))
+        assert spec.parallelism == 1
+        four = with_parallelism(spec, 4)
+        assert four.parallelism == 4
+        assert four.points == spec.points
+        assert with_parallelism(four, 4) is four
+        with pytest.raises(DomainError, match="parallelism must be >= 1, got 0"):
+            SweepSpec(betas=(1.0,), fields=(1.0,), parallelism=0)
+
     def test_bad_format(self):
         with pytest.raises(DomainError):
             SweepSpec(betas=(1.0,), fields=(1.0,), formats=("xlsx",))
