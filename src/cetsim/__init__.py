@@ -64,12 +64,10 @@ from .synth import (
     AngleSet,
     Circuit,
     Gate,
-    RenormConstants,
     build_chain_circuit,
     build_circuit,
     build_triangle_circuit,
     cets_angles,
-    effective_params,
     export_circuit,
     load_circuit,
     parse_circuit,
@@ -103,7 +101,6 @@ __all__ = [
     "PauliString",
     "PointResult",
     "ProbeReadout",
-    "RenormConstants",
     "StateVector",
     "SweepDataset",
     "SweepRow",
@@ -120,7 +117,6 @@ __all__ = [
     "default_decay_table",
     "depolarize",
     "direct_expectation",
-    "effective_params",
     "entropy",
     "estimate_eta",
     "exact_entropy",

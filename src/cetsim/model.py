@@ -129,21 +129,38 @@ class GibbsTable:
     log_partition: float
 
 
+@lru_cache(maxsize=64)
+def _level_counts(n: int, bonds: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
+    """Bond sums a and field sums b, integers, of every configuration: (2**n,) each."""
+    a = sum((z_signs(n, bond) for bond in bonds), np.zeros(2**n))
+    b = spin_values(n).sum(axis=1)
+    a.setflags(write=False)  # cached; callers must not mutate
+    b.setflags(write=False)
+    return a, b
+
+
 def gibbs_tables(params: Sequence[ModelParams]) -> tuple[np.ndarray, ...]:
     """Energies and Gibbs weights, both (B, 2**n), and log Z (B,) of B points
     of one topology and size; each row of weights must sum to one."""
     first = params[0]
     if any((p.topology, p.n) != (first.topology, first.n) for p in params):
         raise DomainError("batched points must share topology and size")
-    z = spin_values(first.n)
+    a, b = _level_counts(first.n, first.bonds())
     J, h, beta = np.array([(p.J, p.h, p.beta) for p in params]).T[..., None]
-    e = h * z.sum(axis=1)
-    for bond in first.bonds():
-        e = e + J * z_signs(first.n, bond)
-    weights, log_z = _normalize_log_weights(-beta * e)
+    e = J * a + h * b
+    # Weights come from the differences J da + h db to the ground level.  On
+    # the triangle da is 0 or +-4 and db 0, +-2, +-4, or +-6 when da = 0, so
+    # each difference is rounded once and is exactly 0 at a degeneracy such
+    # as h = 2J.  They are halved: one can reach twice the (|J| + |h|) n that
+    # the guard keeps finite.
+    ground = e.argmin(axis=1)[:, None]
+    half = (J / 2) * (a - a[ground]) + (h / 2) * (b - b[ground])
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the weight
+        weights, log_z = _normalize_log_weights((beta * half) * -2.0)
     check_unit(weights.sum(axis=1), _WEIGHT_SUM_TOL, NumericError,
                "Gibbs weights sum to")
-    return e, weights, log_z
+    # the normaliser's log counts from the ground level
+    return e, weights, log_z - beta[:, 0] * e.min(axis=1)
 
 
 def gibbs_distribution(params: ModelParams) -> GibbsTable:
@@ -178,8 +195,9 @@ def exact_expectation(params: ModelParams, op) -> complex:
 
 
 def shannon_entropy(p: np.ndarray) -> np.ndarray:
-    """-sum p ln p over the last axis of non-negative populations, 0 ln 0 = 0."""
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    """-sum p ln p over the last axis of non-negative populations, 0 ln 0 = 0;
+    a pure distribution gives +0.0."""
+    return 0.0 - (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
 def exact_entropy(params: ModelParams) -> float:

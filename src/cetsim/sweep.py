@@ -13,10 +13,11 @@ A `SweepDataset` keeps the result as (stage, point) columns; `SweepRow`,
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -139,8 +140,12 @@ class SweepSpec:
         points = [model.ModelParams(J=self.J, h=h, beta=beta)
                   for beta in self.betas for h in self.fields]
         object.__setattr__(self, "points", tuple(points))
-        if self.parallelism < 1:
-            raise DomainError(f"parallelism must be >= 1, got {self.parallelism}")
+        _check_parallelism(self.parallelism)
+
+
+def _check_parallelism(parallelism: int) -> None:
+    if parallelism < 1:
+        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
 
 
 @dataclass(frozen=True)
@@ -284,15 +289,16 @@ def check_writable(out_dir: str) -> None:
 def run_sweep(spec: SweepSpec, shots: int | None = None,
               seed: int | None = None) -> SweepDataset:
     """Run every triangle point of `spec`'s grid, in row-major order, as one
-    batch: one circuit, built for the first point, over each point's angles.
+    batch: one circuit, built for the first point, over each point's angles,
+    all read off one `model.gibbs_tables` call.
 
     With `shots` the ideal readouts are finite-sample estimates.  Point b's
     readout at position i of LABELS draws from the stream
     `seed + b * len(LABELS) + i`, so no two readouts of a batch share one.
     """
-    log_z = model.gibbs_tables(spec.points)[2]
-    circuit = synth.build_circuit(spec.points[0])
-    angles = [circuit.angles, *map(synth.rotation_angles, spec.points[1:])]
+    weights, log_z = model.gibbs_tables(spec.points)[1:]
+    angles = synth.triangle_angles(weights).tolist()
+    circuit = synth.build_circuit(spec.points[0], angles=angles[0])
     populations = abs(engine.run_circuits(circuit, angles)) ** 2
     errors.check_unit(np.sqrt(populations.sum(axis=1)), 1e-9, NumericError,
                       "prepared state norm is")
@@ -310,7 +316,8 @@ def magnetization_slice(dataset: SweepDataset, beta: float) -> np.ndarray:
 
 def with_parallelism(spec: SweepSpec, parallelism: int) -> SweepSpec:
     """`spec` with `parallelism` >= 1 worker processes for its row files;
-    `spec` itself when the count is unchanged.
+    `spec` itself when the count is unchanged.  The copy shares `spec`'s
+    points, which the count cannot change.
 
     The points are always simulated as one batch in this process; the
     workers only spell `sweep.csv` and `sweep.json`, and the outputs are
@@ -318,4 +325,7 @@ def with_parallelism(spec: SweepSpec, parallelism: int) -> SweepSpec:
     """
     if parallelism == spec.parallelism:
         return spec
-    return replace(spec, parallelism=parallelism)
+    _check_parallelism(parallelism)
+    spec = copy.copy(spec)  # a copy runs no __post_init__
+    object.__setattr__(spec, "parallelism", parallelism)
+    return spec

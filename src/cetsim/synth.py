@@ -6,13 +6,14 @@ rotations
 
     R(theta) = [[cos t, -sin t], [sin t, cos t]]
 
-suffice.  Rotation angles encode two-outcome Boltzmann splits: an angle
-with cos^2 t = 1/(1 + exp(2x)) puts weight exp(-x)/2cosh(x) on bit 0.
-
-For the triangle the first two spins use a renormalised pair model
-obtained by summing out the third spin analytically; the third spin is
-then set by controlled rotations whose angles depend on the first two
-bits.  Sharing the single-bit dependence between uncontrolled and
+suffice.  A rotation splits the mass of its branch between bit 0 and bit
+1: cos^2 t is the conditional probability of bit 0, so the angles are the
+amplitude-encoding tree of Grover and Rudolph (arXiv:quant-ph/0208112)
+over the Gibbs weights.  For the triangle `triangle_angles` reads the
+tree off B points' weights at once: one split for the first spin, two for
+the second given the first, and, since the energy is symmetric in the
+spins, three for the third given how many of the first two bits are
+raised.  Sharing the single-bit dependence between uncontrolled and
 controlled gates telescopes the construction to seven rotations.  Open
 chains factor through nearest-neighbour conditionals and need 2n - 1
 rotations.
@@ -23,64 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import model
 from .errors import CapacityError, DomainError, NumericError, TopologyError
-
-#: Below this beta the renormalisation constants switch to their exact
-#: leading-order forms; the closed forms lose all digits to cancellation.
-SERIES_BETA = 1e-8
 
 #: Largest open chain the synthesiser accepts (state vectors stay < 32 MiB).
 MAX_CHAIN = 20
 
 _CLAMP_TOL = 1e-12
 _FORMAT_HEADER = "#cets v1"
-
-
-def _lncosh(x: float) -> float:
-    """log cosh x without overflow."""
-    ax = abs(x)
-    return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
-
-
-@dataclass(frozen=True)
-class RenormConstants:
-    """Pair model left after summing the third triangle spin out.
-
-    The original couplings (J, h) shift to (J - bond_shift,
-    h - field_shift); `offset` is the extra single-spin shift entering
-    the first-spin marginal.  The overall constant of the summed-out
-    weight cancels in every normalised quantity and is not kept.
-    """
-
-    bond_shift: float
-    field_shift: float
-    offset: float
-
-
-def effective_params(params: model.ModelParams) -> RenormConstants:
-    """Renormalisation constants of the triangle at one parameter point."""
-    if params.topology != model.TRIANGLE:
-        raise TopologyError("effective_params is defined for the triangle")
-    beta, J, h = params.beta, params.J, params.h
-    if beta < SERIES_BETA:
-        b = beta * J * J
-        c = beta * J * h
-        j_eff = J - b
-        h_eff = h - c
-        g = beta * j_eff * h_eff
-        return RenormConstants(b, c, g)
-    lp = _lncosh(2 * beta * J + beta * h)
-    lm = _lncosh(2 * beta * J - beta * h)
-    lh = _lncosh(beta * h)
-    b = (lp + lm - 2.0 * lh) / (4.0 * beta)
-    c = (lp - lm) / (4.0 * beta)
-    j_eff = J - b
-    h_eff = h - c
-    g = (_lncosh(beta * (j_eff + h_eff)) - _lncosh(beta * (j_eff - h_eff))) / (
-        2.0 * beta
-    )
-    return RenormConstants(b, c, g)
 
 
 def rotation_angle(p0: float) -> float:
@@ -94,15 +47,6 @@ def rotation_angle(p0: float) -> float:
             raise NumericError(f"cos^2 argument {p0!r} outside [0, 1]")
         p0 = min(max(p0, 0.0), 1.0)
     return math.acos(math.sqrt(p0))
-
-
-def _boltzmann_angle(x: float) -> float:
-    """Angle of a two-outcome split with log-weight ratio 2x; cos^2 t = sigmoid(-2x)."""
-    try:
-        p0 = 1.0 / (1.0 + math.exp(2.0 * x))
-    except OverflowError:  # exp(2x) is inf in floating point: sigmoid(-2x) = 0
-        p0 = 0.0
-    return rotation_angle(p0)
 
 
 @dataclass(frozen=True)
@@ -122,20 +66,35 @@ class AngleSet:
     theta_2: float
 
 
+def _split_angles(weights: np.ndarray) -> np.ndarray:
+    """(B, 6) `AngleSet` angles of B triangle points' (B, 8) Gibbs weights.
+
+    Each is arctan2(sqrt(mass of bit 1), sqrt(mass of bit 0)) over its
+    branch, so a branch whose masses both underflow to 0 gets a finite
+    angle, where arccos(sqrt(p0)) would read p0 = 0/0.
+    """
+    pairs = weights[:, ::2] + weights[:, 1::2]  # b3 summed out
+    # (mass of bit 0, mass of bit 1) of b1; of b2 given b1 = 0 and 1; and
+    # of b3 given b1 b2 = 00, 01 and 11
+    masses = np.concatenate((pairs[:, ::2] + pairs[:, 1::2], pairs,
+                             weights[:, :4], weights[:, 6:]), axis=1)
+    roots = np.sqrt(masses)
+    return np.arctan2(roots[:, 1::2], roots[:, ::2])
+
+
+def triangle_angles(weights: np.ndarray) -> np.ndarray:
+    """(B, 7) rotation angles, in gate order, of B triangle points' (B, 8)
+    Gibbs weights: the six split angles, telescoped."""
+    x, y, z, t0, t1, t2 = _split_angles(weights).T
+    d1 = t1 - t0
+    return np.array([x, y, z - y, t0, d1, d1, (t2 - t1) - d1]).T
+
+
 def cets_angles(params: model.ModelParams) -> AngleSet:
     """Rotation angles preparing the triangle's coherent Gibbs encoding."""
-    rc = effective_params(params)
-    beta, J, h = params.beta, params.J, params.h
-    j_eff = J - rc.bond_shift
-    h_eff = h - rc.field_shift
-    return AngleSet(
-        theta_x=_boltzmann_angle(beta * (h_eff - rc.offset)),
-        theta_y=_boltzmann_angle(beta * (j_eff + h_eff)),
-        theta_z=_boltzmann_angle(beta * (h_eff - j_eff)),
-        theta_0=_boltzmann_angle(beta * (2.0 * J + h)),
-        theta_1=_boltzmann_angle(beta * h),
-        theta_2=_boltzmann_angle(beta * (h - 2.0 * J)),
-    )
+    if params.topology != model.TRIANGLE:
+        raise TopologyError("cets_angles is defined for the triangle")
+    return AngleSet(*_split_angles(model.gibbs_tables([params])[1])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -204,9 +163,7 @@ def rotation_angles(params: model.ModelParams) -> list[float]:
     uncontrolled and one controlled rotation per site after the first.
     """
     if params.topology == model.TRIANGLE:
-        a = cets_angles(params)
-        d1, d2 = a.theta_1 - a.theta_0, a.theta_2 - 2.0 * a.theta_1 + a.theta_0
-        return [a.theta_x, a.theta_y, a.theta_z - a.theta_y, a.theta_0, d1, d1, d2]
+        return triangle_angles(model.gibbs_tables([params])[1])[0].tolist()
     if params.n > MAX_CHAIN:
         raise CapacityError(f"chains support n <= {MAX_CHAIN}, got {params.n}")
     table = model.chain_conditionals(params).table
@@ -230,13 +187,17 @@ def _layout(params: model.ModelParams, off: int) -> list[tuple[int, tuple[int, .
     return layout
 
 
-def build_circuit(params: model.ModelParams, include_probe: bool = False) -> Circuit:
+def build_circuit(
+    params: model.ModelParams, include_probe: bool = False, angles=None
+) -> Circuit:
     """Preparation circuit of a triangle or an open chain.
 
     Qubits are the spins in order; with include_probe an extra qubit 0
     is prepended in (|0> + |1>)/sqrt(2) and the spins shift up by one.
+    `angles` are the point's `rotation_angles` when already formed.
     """
-    angles = rotation_angles(params)
+    if angles is None:
+        angles = rotation_angles(params)
     off = 1 if include_probe else 0
     gates = [Gate(kind="h", target=0)] if include_probe else []
     gates += [

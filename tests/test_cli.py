@@ -158,6 +158,33 @@ class TestPoint:
         assert "nan" not in out.lower()
         assert "M=-1.000000000" in out
 
+    @pytest.mark.parametrize("argv, expected", [
+        # beta * 3 (|J| + |h|) is just below the overflow the guard rejects
+        (["--beta", "5e307", "--h", "0", "--J", "1"],
+         ("C2=-1.000000000", "S=1.791759469")),
+        # a level gap of 4e300 at beta = 1e-9: only the ground pair has weight
+        (["--beta", "1e-9", "--h", "0", "--J", "-1e300"],
+         ("C2=+3.000000000", "S=0.693147181")),
+        (["--beta", "1e16", "--h", "0", "--J", "1"], ("S=1.791759469",)),
+        (["--beta", "1e50", "--h", "0.3", "--J", "1"], ("S=1.098612289",)),
+        (["--beta", "1e12", "--h", "0.6", "--J", "0.3"], ("M=-1.500000000",)),
+    ], ids=["guard-beta", "guard-J", "cold-h0", "cold-h0.3", "boundary"])
+    def test_guard_edge_and_cold_limits_are_finite(self, capsys, argv, expected):
+        code, out, _ = run_cli(["point", *argv], capsys)
+        assert code == cli.EXIT_OK
+        assert "nan" not in out.lower() and "inf" not in out.lower()
+        summary = out.splitlines()[-1].split()
+        assert all(item in summary for item in expected)
+
+    def test_pure_state_entropy_is_positive_zero(self, capsys, tmp_path):
+        code, out, _ = run_cli(["point", "--beta", "50", "--h", "5"], capsys)
+        assert code == cli.EXIT_OK
+        assert out.splitlines()[-1].endswith(" S=0.000000000")
+        argv = ["sweep", "--beta", "50", "--h", "5", "--out-dir", str(tmp_path)]
+        assert run_cli(argv, capsys)[0] == cli.EXIT_OK
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[6] == "0.0"
+
     @pytest.mark.parametrize(
         "table",
         [{"Z1": {"t2": 1}}, {"Z1": "fast"}, {"Z1": [0.3]}, {"Z1": None},

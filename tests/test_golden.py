@@ -19,22 +19,28 @@ GRID = ("sweep --beta 0.5:11:23 --h -5:5:101 --format csv,json,svg --eta 0.7 "
 #: command line -> digest
 GOLDEN = {
     GRID:
-        "b547a81e447abfe10fe41d560d2a33a909f5de2cf4d543c078ebc494392552bf",
+        "489654e206ad9f98f9e4799b1ac6d524202c851fedeb2ad5fefc6fefcbcd18d3",
     "point --beta 0.3 --h 0.2 --shots 4096 --seed 5 --eta 0.9 --recover auto "
     "--format csv,json,svg --out-dir o":
         "379d517b132ea72a48dc9ae9ab3cef2c6d5d5562f8f2434b414e5b54bd6ee500",
     "point --beta 2 --h 0.5 --decay-profile default --t1 3 --recover auto "
     "--format csv,json,svg --out-dir o":
-        "d990bbb17e45978cc8e13c1386b1f884a38c4bfbe5ea7537436364310108fb97",
+        "988149675d7249e861e6ae7479bd0fde7302d9ab57e9f44d26178562882adfab",
     "point --beta 11 --h 1":
         "8f6e776b3a4e4b10a88e752168c8d2c3fe319973bed8de2b2570c82b2355e946",
     "sweep --beta 1:3:3 --h -1:1:4 --decay-profile default --t1 3 --recover auto "
     "--format csv,json --out-dir o":
-        "784a8585b9b191d62fe831656ea5ce68739925e59980287ba0641217627b5653",
+        "7bafd4dda682c89d72aebf22fd6fac7d602ba74053cd64f6c07cd3f869351e67",
     "noise-study --beta 11 --h 1 --eta 0.5":
-        "e04b166e1cf9366a815da5ba23c33716af2a8b9babf58919777fd85df5e94c7e",
+        "a5e691231bd0c551e6d9b3681908b08a0b51ee4fa51ac02d81408fc3b6e5286c",
     "circuit --topology chain --n 7 --beta 2 --h 0.3 --probe":
         "56665297922a26e6eee0875d2a76654aba239c1e1175b7ca0b6547ae93b37392",
+    # the triangle's angles at 17 digits, on the h = 2J phase boundary
+    "circuit --beta 1e12 --h 0.6 --J 0.3":
+        "1cbca8015d1aa5a72c811902d03d685a737a0467107b9c9016bc4182c13b94fc",
+    # cold zero-field limit: S = ln 6
+    "point --beta 1e16 --h 0 --J 1":
+        "8f5228f9c8bf8dd44b6a20e669344adbc6fbf9242bc3bf34a5b78c70a81cad83",
     # a bad --beta is reported before a bad noise option ...
     "point --beta -1 --h 0 --eta 2":
         "ae6181a43434669e333318bda950ee265811ca8750cac9b75bb8e0040fd450a4",

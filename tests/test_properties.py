@@ -5,10 +5,11 @@ run is reproducible and the whole module stays within a few seconds.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from cetsim.engine import run_circuit
+from cetsim.errors import DomainError
 from cetsim.model import (
     CHAIN,
     ModelParams,
@@ -25,6 +26,8 @@ from cetsim.synth import build_circuit
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 _BETA = st.one_of(st.just(0.0), st.floats(-12.0, 4.0).map(lambda e: 10.0**e))
+#: Triangle draws reach the largest betas; the guard's rejections are discarded.
+_WIDE_BETA = st.one_of(st.just(0.0), st.floats(-12.0, 308.0).map(lambda e: 10.0**e))
 _J = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(0.05, 5.0)).map(
     lambda pair: pair[0] * pair[1]
 )
@@ -35,17 +38,30 @@ _H = st.floats(-50.0, 50.0)
 _CLUSTER = st.one_of(st.none(), st.integers(1, 9))
 
 
-def _params(beta, h, J, n):
+def _admitted(make, *args, **kwargs):
+    """make(*args, **kwargs), or the example discarded if the guard rejects it."""
+    try:
+        return make(*args, **kwargs)
+    except DomainError:
+        reject()
+
+
+@st.composite
+def _points(draw, fields=_H, cluster=_CLUSTER):
+    """A triangle at any beta the ModelParams guard admits, or an open chain
+    at beta <= 1e4: chain circuits still drift from the oracle in proportion
+    to beta (about 3e-5 at beta = 1e12), since `chain_conditionals` is not
+    formed from level differences."""
+    h, J, n = draw(fields), draw(_J), draw(cluster)
     if n is None:
-        return ModelParams(J=J, h=h, beta=beta)
-    return ModelParams(J=J, h=h, beta=beta, n=n, topology=CHAIN)
+        return _admitted(ModelParams, J=J, h=h, beta=draw(_WIDE_BETA))
+    return ModelParams(J=J, h=h, beta=draw(_BETA), n=n, topology=CHAIN)
 
 
 class TestCircuitEqualsOracle:
     @_SETTINGS
-    @given(_BETA, _H, _J, _CLUSTER)
-    def test_probabilities_match_gibbs_weights(self, beta, h, J, n):
-        params = _params(beta, h, J, n)
+    @given(_points())
+    def test_probabilities_match_gibbs_weights(self, params):
         probs = run_circuit(build_circuit(params)).probabilities()
         tol = 1e-10 if params.topology != CHAIN else 1e-8
         assert np.abs(probs - gibbs_distribution(params).weights).max() <= tol
@@ -56,20 +72,18 @@ class TestSignsEqualIndexBits:
     each configuration index with a scalar loop."""
 
     @_SETTINGS
-    @given(_BETA, _H, _J, _CLUSTER, st.integers(0, 2**9 - 1))
-    def test_energies_and_diagonal_expectations(self, beta, h, J, n, mask):
-        params = _params(beta, h, J, n)
+    @given(_points(), st.integers(0, 2**9 - 1))
+    def test_energies_and_diagonal_expectations(self, params, mask):
         n = params.n
         spins = [
-            [1.0 - 2.0 * ((k >> (n - 1 - i)) & 1) for i in range(n)]
+            [1 - 2 * ((k >> (n - 1 - i)) & 1) for i in range(n)]
             for k in range(2**n)
         ]
-        energies = []
-        for z in spins:
-            e = h * sum(z)
-            for i, j in params.bonds():
-                e = e + J * (z[i] * z[j])
-            energies.append(e)
+        # J a + h b from the integer bond sum a and field sum b
+        energies = [
+            params.J * sum(z[i] * z[j] for i, j in params.bonds()) + params.h * sum(z)
+            for z in spins
+        ]
         assert gibbs_tables([params])[0][0].tobytes() == np.array(energies).tobytes()
 
         sites = [i for i in range(n) if mask >> i & 1]
@@ -102,16 +116,16 @@ def _assert_rows_close(left, right, tol=1e-12):
 class TestSweepEqualsPoint:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
-        st.lists(_BETA, min_size=1, max_size=4),
+        st.lists(_WIDE_BETA, min_size=1, max_size=4),
         st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4),
         _J,
         st.floats(0.0, 1.0),
     )
     def test_rows_match_run_point_on_every_stage(self, betas, fields, J, eta):
         noise = NoiseOptions(eta=eta, recover="auto")
-        dataset = run_sweep(
-            SweepSpec(betas=tuple(betas), fields=tuple(fields), J=J, noise=noise)
-        )
+        spec = _admitted(SweepSpec, betas=tuple(betas), fields=tuple(fields), J=J,
+                         noise=noise)
+        dataset = run_sweep(spec)
         points = [(beta, h) for beta in betas for h in fields]
         assert len(dataset.rows) == len(points)
         for row, (beta, h) in zip(dataset.rows, points):
@@ -121,21 +135,19 @@ class TestSweepEqualsPoint:
 class TestAutoRecoveryIsBounded:
     @_SETTINGS
     @given(
-        _BETA,
-        st.floats(-6.0, 6.0),
-        _J,
+        _points(fields=st.floats(-6.0, 6.0), cluster=st.none()),
         st.one_of(
             st.floats(0.0, 1.0),
             st.lists(st.floats(0.0, 50.0), min_size=7, max_size=7),
         ),
     )
-    def test_recovered_readouts_are_expectations(self, beta, h, J, model):
+    def test_recovered_readouts_are_expectations(self, params, model):
         if isinstance(model, list):
             table = {label: DecayProfile(tau=tau) for label, tau in zip(LABELS, model)}
             noise = NoiseOptions(decay=table, recover="auto")
         else:
             noise = NoiseOptions(eta=model, recover="auto")
-        row = run_point(ModelParams(J=J, h=h, beta=beta), noise)
+        row = run_point(params, noise)
         recovered = row.results[-1]
         for label in LABELS:
             assert abs(recovered.measurements.value(label).real) <= 1.0 + 1e-12

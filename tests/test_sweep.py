@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cetsim import cli, engine, reconstruct, synth
+from cetsim import cli, engine, model, reconstruct, synth
 from cetsim import sweep as sweep_mod
 from cetsim.errors import DomainError, IncompleteSetError, TopologyError
 from cetsim.model import CHAIN, ModelParams, exact_entropy
@@ -197,45 +197,42 @@ class TestRunPoint:
         assert second.measurements == later.result(PROVENANCE_IDEAL).measurements
 
 
+def count_calls(monkeypatch):
+    """Calls by name of the functions that form a point's weights, angles
+    and circuit, counted from here on."""
+    calls = {}
+    for owner, name in ((synth, "build_circuit"), (synth, "rotation_angles"),
+                        (synth, "cets_angles"), (synth, "triangle_angles"),
+                        (model, "gibbs_tables")):
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 class TestSinglePreparation:
     @pytest.mark.parametrize(
         "noise", [None, NoiseOptions(eta=0.7, recover="auto")], ids=["ideal", "eta-auto"]
     )
     def test_one_circuit_per_point(self, noise, monkeypatch):
-        built = []
-        real_build = synth.build_circuit
-
-        def counting_build(*args, **kwargs):
-            built.append(kwargs.get("include_probe", False))
-            return real_build(*args, **kwargs)
+        calls = count_calls(monkeypatch)
 
         def no_probe(*args, **kwargs):
             raise AssertionError("run_point must not go through the probe")
 
-        monkeypatch.setattr(synth, "build_circuit", counting_build)
         monkeypatch.setattr(engine, "probe_expectation", no_probe)
         run_point(triangle(2.0, 0.5), noise=noise)
-        assert built == [False]
+        # its weights and angles are formed once, not again by build_circuit
+        assert calls == {"build_circuit": 1, "gibbs_tables": 1, "triangle_angles": 1}
 
     def test_one_circuit_per_batch(self, monkeypatch):
-        built, angled = [], []
-        real_build, real_angles = synth.build_circuit, synth.rotation_angles
-
-        def counting_build(*args, **kwargs):
-            built.append(kwargs.get("include_probe", False))
-            return real_build(*args, **kwargs)
-
-        def counting_angles(params):
-            angled.append(params)
-            return real_angles(params)
-
-        monkeypatch.setattr(synth, "build_circuit", counting_build)
-        monkeypatch.setattr(synth, "rotation_angles", counting_angles)
+        calls = count_calls(monkeypatch)
         spec = SweepSpec(betas=(0.5, 3.0, 11.0), fields=(-1.0, 0.0, 0.5, 2.0))
-        dataset = run_sweep(spec)
-        assert built == [False]
-        # each point's angles are formed once, the first point's by build_circuit
-        assert [(p.beta, p.h) for p in angled] == [(r.beta, r.h) for r in dataset.rows]
+        run_sweep(spec)
+        # one batch of weights and angles; no point's angles on their own
+        assert calls == {"build_circuit": 1, "gibbs_tables": 1, "triangle_angles": 1}
 
     def test_sweep_and_emitters_build_no_per_point_objects(
         self, monkeypatch, tmp_path
@@ -311,8 +308,11 @@ class TestSweepSpec:
         assert spec.parallelism == 1
         four = with_parallelism(spec, 4)
         assert four.parallelism == 4
-        assert four.points == spec.points
+        assert four.points is spec.points  # not formed again
         assert with_parallelism(four, 4) is four
+        assert spec.parallelism == 1
+        with pytest.raises(DomainError, match="parallelism must be >= 1, got 0"):
+            with_parallelism(four, 0)
         with pytest.raises(DomainError, match="parallelism must be >= 1, got 0"):
             SweepSpec(betas=(1.0,), fields=(1.0,), parallelism=0)
 
@@ -401,3 +401,36 @@ class TestPhaseStructure:
             return np.max(np.abs(np.diff(m))) / (fields[1] - fields[0])
 
         assert max_slope(11.0) / max_slope(1.0) > 3.0
+
+
+#: Cold enough that every excited level's weight is below 1e-17 at each case
+COLD_BETAS = (1e2, 1e8, 1e16, 1e300)
+
+
+class TestColdLimits:
+    """J > 0: S and M tend to the ground manifold's counts, with no oracle."""
+
+    @pytest.mark.parametrize("beta", COLD_BETAS)
+    @pytest.mark.parametrize("J, h, manifold", [
+        # h = 0: the six states with one spin against the other two
+        (0.1, 0.0, 6), (1.0, 0.0, 6), (1.3, 0.0, 6),
+        # 0 < |h| < 2J: the three of those with two spins along the field
+        (1.0, 0.3, 3), (1.0, -1.0, 3), (0.7, 1.1, 3), (1.3, -0.5, 3),
+        # |h| > 2J: all spins along the field
+        (1.0, 2.5, 1), (1.0, -5.0, 1), (0.3, 0.9, 1),
+    ])
+    def test_entropy_counts_the_ground_manifold(self, beta, J, h, manifold):
+        params = triangle(beta, h, J)
+        for entropy in (exact_entropy(params), run_point(params).results[0].entropy):
+            assert entropy == pytest.approx(math.log(manifold), abs=1e-12)
+
+    @pytest.mark.parametrize("beta", COLD_BETAS)
+    @pytest.mark.parametrize("J", [0.1, 0.3, 1 / 3, 0.35, 0.7, 1.3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_phase_boundary_is_four_fold(self, beta, J, sign):
+        # at |h| = 2J three M = -1 states and the M = -3 state are degenerate
+        params = triangle(beta, sign * 2.0 * J, J)
+        ideal = run_point(params).results[0]
+        for entropy in (exact_entropy(params), ideal.entropy):
+            assert entropy == pytest.approx(math.log(4.0), abs=1e-12)
+        assert ideal.magnetization == pytest.approx(-1.5 * sign, abs=1e-12)

@@ -4,8 +4,9 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from cetsim.engine import run_circuit
 from cetsim.errors import CapacityError, DomainError, NumericError, TopologyError
-from cetsim.model import CHAIN, ModelParams
+from cetsim.model import CHAIN, ModelParams, gibbs_distribution, gibbs_tables
 from cetsim.synth import (
     Circuit,
     Gate,
@@ -13,13 +14,13 @@ from cetsim.synth import (
     build_circuit,
     build_triangle_circuit,
     cets_angles,
-    effective_params,
     export_circuit,
     load_circuit,
     parse_circuit,
     rotation_angle,
     rotation_angles,
     save_circuit,
+    triangle_angles,
 )
 
 
@@ -27,57 +28,59 @@ def params(beta, h, J=1.0):
     return ModelParams(J=J, h=h, beta=beta)
 
 
-class TestEffectiveParams:
+def split_masses(weights):
+    """(mass of bit 0, mass of bit 1) of each AngleSet split, by index."""
+    w = weights.tolist()
+    return [
+        (sum(w[0:4]), sum(w[4:8])),  # b1
+        (w[0] + w[1], w[2] + w[3]),  # b2 given b1 = 0
+        (w[4] + w[5], w[6] + w[7]),  # b2 given b1 = 1
+        (w[0], w[1]),  # b3 given b1 b2 = 00
+        (w[2], w[3]),  # b3 given b1 b2 = 01
+        (w[6], w[7]),  # b3 given b1 b2 = 11
+    ]
+
+
+class TestGibbsTree:
     def test_triangle_only(self):
         with pytest.raises(TopologyError):
-            effective_params(ModelParams(J=1, h=0, beta=1, n=3, topology=CHAIN))
+            cets_angles(ModelParams(J=1, h=0, beta=1, n=3, topology=CHAIN))
+
+    @pytest.mark.parametrize("beta, h, J", [
+        (0.0, 1.0, 1.0), (2.3, 0.7, 1.0), (11.0, 1.0, 1.0), (3.0, -2.5, 0.4),
+        (1e12, 0.6, 0.3), (1e-9, 1.3, -0.4),
+    ])
+    def test_cos_squared_is_conditional_probability(self, beta, h, J):
+        p = params(beta, h, J)
+        masses = split_masses(gibbs_distribution(p).weights)
+        for theta, (m0, m1) in zip(astuple(cets_angles(p)), masses):
+            if m0 + m1 > 0.0:  # a branch without mass has no conditional
+                p0 = m0 / (m0 + m1)
+                assert math.cos(theta) ** 2 == pytest.approx(p0, abs=1e-15)
 
     def test_zero_field_symmetries(self):
-        rc = effective_params(params(3.0, 0.0))
-        assert rc.field_shift == 0.0
-        assert rc.offset == 0.0
-        assert rc.bond_shift > 0.0
+        # at h = 0 a global flip maps each b1 = 0 mass onto a b1 = 1 mass
+        a = cets_angles(params(3.0, 0.0))
+        assert a.theta_x == a.theta_1 == math.pi / 4
+        assert a.theta_y + a.theta_z == pytest.approx(math.pi / 2, abs=1e-15)
+        assert a.theta_0 + a.theta_2 == pytest.approx(math.pi / 2, abs=1e-15)
 
-    def test_closed_form_against_direct_ratio(self):
-        # b and c must turn the summed-out pair weight K(z1, z2) into
-        # A * exp(beta*b*z1*z2) * exp(beta*c*(z1+z2)) for all four (z1, z2);
-        # the constant A cancels in the ratio K(z1, z2) / K(+1, +1)
-        beta, J, h = 2.3, 1.0, 0.7
-        rc = effective_params(params(beta, h, J))
+    def test_zero_mass_branch_gives_finite_angle(self):
+        # every weight but all-down's underflows, so the b1 = 0 branches
+        # have no mass at all; the circuit still prepares |111>
+        p = params(1e300, 5.0)
+        masses = split_masses(gibbs_distribution(p).weights)
+        assert [sum(masses[i]) for i in (1, 3, 4)] == [0.0] * 3
+        assert astuple(cets_angles(p)) == (math.pi / 2, 0.0, math.pi / 2, 0.0, 0.0,
+                                           math.pi / 2)
+        probabilities = run_circuit(build_circuit(p)).probabilities()
+        assert probabilities == pytest.approx([0.0] * 7 + [1.0], abs=1e-30)
 
-        def k(z1, z2):
-            return 2 * math.cosh(beta * J * (z1 + z2) + beta * h)
-
-        for z1 in (1, -1):
-            for z2 in (1, -1):
-                model_ratio = math.exp(
-                    beta * rc.bond_shift * (z1 * z2 - 1)
-                    + beta * rc.field_shift * (z1 + z2 - 2)
-                )
-                assert k(z1, z2) / k(1, 1) == pytest.approx(model_ratio, rel=1e-12)
-
-    def test_series_branch_matches_leading_order(self):
-        beta, J, h = 1e-9, 1.3, 0.4
-        rc = effective_params(params(beta, h, J))
-        assert rc.bond_shift == pytest.approx(beta * J * J, rel=1e-10)
-        assert rc.field_shift == pytest.approx(beta * J * h, rel=1e-10)
-
-    def test_closed_form_meets_series_in_overlap_region(self):
-        # at beta = 1e-5 the closed forms still carry ~10 digits and the
-        # dropped series terms are O(beta^2) relative: both must agree
-        beta, J, h = 1e-5, 1.3, 0.6
-        rc = effective_params(params(beta, h, J))
-        assert rc.bond_shift == pytest.approx(beta * J * J, rel=1e-4)
-        assert rc.field_shift == pytest.approx(beta * J * h, rel=1e-4)
-        assert rc.offset == pytest.approx(beta * J * h, rel=1e-3)
-
-    def test_constants_finite_on_grid(self):
-        for beta in np.linspace(0.0, 11.0, 23):
-            for h in np.linspace(-5.0, 5.0, 21):
-                rc = effective_params(params(float(beta), float(h)))
-                assert math.isfinite(rc.bond_shift)
-                assert math.isfinite(rc.field_shift)
-                assert math.isfinite(rc.offset)
+    def test_batch_rows_are_single_point_calls(self):
+        points = [params(b, h, J) for b in (0.0, 0.7, 1e8) for h in (-2.0, 0.6)
+                  for J in (0.3, -1.0)]
+        batch = triangle_angles(gibbs_tables(points)[1])
+        assert batch.tolist() == [rotation_angles(p) for p in points]
 
 
 class TestAngles:
