@@ -20,11 +20,9 @@ from .errors import (
 from .model import (
     CHAIN,
     TRIANGLE,
-    ChainConditionals,
     GibbsTable,
     ModelParams,
     cets_amplitudes,
-    chain_conditionals,
     exact_entropy,
     exact_expectation,
     gibbs_distribution,
@@ -81,7 +79,6 @@ __all__ = [
     "CapacityError",
     "CetsError",
     "CHAIN",
-    "ChainConditionals",
     "Circuit",
     "DecayProfile",
     "DensityMatrix",
@@ -113,7 +110,6 @@ __all__ = [
     "build_triangle_circuit",
     "cets_amplitudes",
     "cets_angles",
-    "chain_conditionals",
     "default_decay_table",
     "depolarize",
     "direct_expectation",

@@ -171,16 +171,21 @@ def _noise_options(args: argparse.Namespace) -> sweep.NoiseOptions | None:
     return sweep.NoiseOptions(eta=args.eta, decay=decay, recover=args.recover)
 
 
+def _signed(value: float) -> str:
+    """`value` to nine decimals with its sign; one that rounds to zero is +0."""
+    return f"{value:+.9f}".replace("-0.000000000", "+0.000000000")
+
+
 def _print_row(row: sweep.SweepRow) -> None:
     print(f"beta={row.beta:g} h={row.h:g} J={row.J:g} logZ={row.log_partition:.12g}")
     for res in row.results:
         print(f"[{res.provenance}]")
         for label in reconstruct.LABELS:
             v = res.measurements.value(label)
-            print(f"  <{label}> = {v.real:+.9f}{v.imag:+.9f}j")
+            print(f"  <{label}> = {_signed(v.real)}{_signed(v.imag)}j")
         print(
-            f"  M={res.magnetization:+.9f} C2={res.pair_correlation:+.9f} "
-            f"C3={res.triple_correlation:+.9f} S={res.entropy:.9f}"
+            f"  M={_signed(res.magnetization)} C2={_signed(res.pair_correlation)} "
+            f"C3={_signed(res.triple_correlation)} S={res.entropy:.9f}"
         )
 
 

@@ -10,8 +10,9 @@ Conventions
 Spins are numbered 0..n-1 from the most significant bit of the
 configuration index, and bit value 0 encodes spin up (z = +1).  The
 configuration index therefore reads as the bit string b_0 b_1 ... b_{n-1}.
-`z_signs` is the one product of spin columns: the diagonal of a Z string,
-behind the bond energies, diagonal expectations and readout sign table.
+`z_signs` reads the parity of a set of spins off the configuration index:
+the diagonal of a Z string, behind `spin_values`, diagonal expectations and
+the readout sign table.  The integer level counts come from the same bits.
 The energy is
 
     E = J * sum_(i,j) z_i z_j + h * sum_i z_i
@@ -80,39 +81,29 @@ class ModelParams:
         return tuple((i, i + 1) for i in range(self.n - 1))
 
 
-@lru_cache(maxsize=64)
-def spin_values(n: int) -> np.ndarray:
-    """(2**n, n) array of z values for every configuration index."""
-    idx = np.arange(2**n)
-    shifts = n - 1 - np.arange(n)
-    bits = (idx[:, None] >> shifts[None, :]) & 1
-    z = (1.0 - 2.0 * bits).astype(float)
-    z.setflags(write=False)  # cached; callers must not mutate
-    return z
+def _bit_counts(x: np.ndarray) -> np.ndarray:
+    """Raised bits of each element of a uint32 array (a SWAR population count)."""
+    x = x - ((x >> 1) & 0x55555555)
+    x = (x & 0x33333333) + ((x >> 2) & 0x33333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F
+    return (x * 0x01010101) >> 24
 
 
 def z_signs(n: int, sites: Sequence[int]) -> np.ndarray:
-    """(2**n,) +-1 diagonal of the Z string on `sites`; ones for no sites."""
-    z = spin_values(n)
-    signs = z[:, sites[0]].copy() if sites else np.ones(2**n)
-    for site in sites[1:]:
-        signs = signs * z[:, site]
-    return signs
+    """(2**n,) +-1 diagonal of the Z string on `sites`, the parity of their
+    bits in each configuration index; ones for no sites."""
+    mask = 0
+    for site in sites:
+        mask ^= 1 << (n - 1 - site)
+    return np.where(_bit_counts(np.arange(2**n, dtype=np.uint32) & mask) & 1, -1.0, 1.0)
 
 
-def _normalize_log_weights(
-    log_w: np.ndarray, axis: int = -1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised exp(log_w) along `axis`, and the log of its normaliser.
-
-    The maximum is subtracted before exponentiating and the weights are
-    divided by their sum, so they sum to one to rounding at any scale of
-    log_w; log Z = max + log(sum) is returned alongside.
-    """
-    top = log_w.max(axis=axis, keepdims=True)
-    w = np.exp(log_w - top)
-    total = w.sum(axis=axis, keepdims=True)
-    return w / total, np.squeeze(top + np.log(total), axis=axis)
+@lru_cache(maxsize=64)
+def spin_values(n: int) -> np.ndarray:
+    """(2**n, n) array of z values for every configuration index."""
+    z = np.stack([z_signs(n, (site,)) for site in range(n)], axis=1)
+    z.setflags(write=False)  # cached; callers must not mutate
+    return z
 
 
 @dataclass(frozen=True)
@@ -131,9 +122,19 @@ class GibbsTable:
 
 @lru_cache(maxsize=64)
 def _level_counts(n: int, bonds: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
-    """Bond sums a and field sums b, integers, of every configuration: (2**n,) each."""
-    a = sum((z_signs(n, bond) for bond in bonds), np.zeros(2**n))
-    b = spin_values(n).sum(axis=1)
+    """Bond sums a and field sums b, integers, of every configuration: (2**n,) each.
+
+    b is n less twice the index's raised bits, and a the number of bonds less
+    twice those whose bits differ, which index ^ (index >> d) marks for every
+    bond of length d.  A uint32 index holds every table that fits in memory.
+    """
+    index = np.arange(2**n, dtype=np.uint32)
+    unlike = np.zeros(2**n)
+    for d in {j - i for i, j in bonds}:  # bond lengths
+        mask = sum(1 << (n - 1 - j) for i, j in bonds if j - i == d)  # later sites
+        unlike += _bit_counts((index ^ (index >> d)) & mask)
+    a = len(bonds) - 2.0 * unlike
+    b = n - 2.0 * _bit_counts(index)
     a.setflags(write=False)  # cached; callers must not mutate
     b.setflags(write=False)
     return a, b
@@ -156,7 +157,13 @@ def gibbs_tables(params: Sequence[ModelParams]) -> tuple[np.ndarray, ...]:
     ground = e.argmin(axis=1)[:, None]
     half = (J / 2) * (a - a[ground]) + (h / 2) * (b - b[ground])
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is the weight
-        weights, log_z = _normalize_log_weights((beta * half) * -2.0)
+        log_w = (beta * half) * -2.0
+    # less the largest, so no exponent overflows
+    top = log_w.max(axis=1, keepdims=True)
+    weights = np.exp(log_w - top)
+    total = weights.sum(axis=1, keepdims=True)
+    weights /= total
+    log_z = (top + np.log(total))[:, 0]
     check_unit(weights.sum(axis=1), _WEIGHT_SUM_TOL, NumericError,
                "Gibbs weights sum to")
     # the normaliser's log counts from the ground level
@@ -203,46 +210,3 @@ def shannon_entropy(p: np.ndarray) -> np.ndarray:
 def exact_entropy(params: ModelParams) -> float:
     """Shannon entropy -sum p ln p of the Gibbs distribution (units of k_B)."""
     return float(shannon_entropy(gibbs_distribution(params).weights))
-
-
-@dataclass(frozen=True)
-class ChainConditionals:
-    """Markov factorisation of an open-chain Gibbs distribution.
-
-    table[i, prev_bit, bit] is P(bit at site i | bit at site i-1); the
-    i = 0 rows both hold the unconditional marginal of the first site.
-    Bit 0 encodes z = +1 throughout.
-    """
-
-    params: ModelParams
-    table: np.ndarray
-
-
-def chain_conditionals(params: ModelParams) -> ChainConditionals:
-    """Transfer-matrix conditionals P(z_{i+1} | z_i), computed in log space.
-
-    Suffix sums R_i(z) over the remaining chain keep every conditional a
-    ratio of two finite log terms, so the factorisation is stable at
-    large beta where raw Boltzmann factors overflow.
-    """
-    if params.topology != CHAIN:
-        raise TopologyError("chain_conditionals requires chain topology")
-    n, beta, J, h = params.n, params.beta, params.J, params.h
-    z = np.array([1.0, -1.0])  # bit 0 -> z = +1
-
-    # log T[z, z'] = -beta (J z z' + h z'), log f[z] = -beta h z
-    log_t = -beta * (J * np.outer(z, z) + h * z[None, :])
-    log_f = -beta * h * z
-
-    log_r = np.zeros((n, 2))
-    for i in range(n - 2, -1, -1):
-        log_r[i] = _normalize_log_weights(log_t + log_r[i + 1][None, :], axis=1)[1]
-
-    table = np.empty((n, 2, 2))
-    table[0, 0] = table[0, 1] = _normalize_log_weights(log_f + log_r[0])[0]
-    for i in range(1, n):
-        table[i] = _normalize_log_weights(log_t + log_r[i][None, :], axis=1)[0]
-
-    check_unit(table.sum(axis=2), _WEIGHT_SUM_TOL, NumericError,
-               "chain conditionals sum to")
-    return ChainConditionals(params=params, table=table)

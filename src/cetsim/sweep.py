@@ -297,7 +297,7 @@ def run_sweep(spec: SweepSpec, shots: int | None = None,
     `seed + b * len(LABELS) + i`, so no two readouts of a batch share one.
     """
     weights, log_z = model.gibbs_tables(spec.points)[1:]
-    angles = synth.triangle_angles(weights).tolist()
+    angles = synth.gibbs_angles(weights, spec.points[0]).tolist()
     circuit = synth.build_circuit(spec.points[0], angles=angles[0])
     populations = abs(engine.run_circuits(circuit, angles)) ** 2
     errors.check_unit(np.sqrt(populations.sum(axis=1)), 1e-9, NumericError,

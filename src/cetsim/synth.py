@@ -9,44 +9,28 @@ rotations
 suffice.  A rotation splits the mass of its branch between bit 0 and bit
 1: cos^2 t is the conditional probability of bit 0, so the angles are the
 amplitude-encoding tree of Grover and Rudolph (arXiv:quant-ph/0208112)
-over the Gibbs weights.  For the triangle `triangle_angles` reads the
-tree off B points' weights at once: one split for the first spin, two for
-the second given the first, and, since the energy is symmetric in the
-spins, three for the third given how many of the first two bits are
-raised.  Sharing the single-bit dependence between uncontrolled and
-controlled gates telescopes the construction to seven rotations.  Open
-chains factor through nearest-neighbour conditionals and need 2n - 1
-rotations.
+over the Gibbs weights, which `gibbs_angles` reads off B points at once.
+Each spin is conditioned on its window of nearest predecessors: all of
+them on the triangle, the nearest on an open chain, whose Gibbs
+distribution is a Markov chain.  Rotations of one target add, so a site's
+2**k splits telescope into one rotation per subset of its k window qubits
+as controls: 7 rotations for the triangle, 2n - 1 for a chain.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import model
-from .errors import CapacityError, DomainError, NumericError, TopologyError
+from .errors import CapacityError, DomainError, TopologyError
 
 #: Largest open chain the synthesiser accepts (state vectors stay < 32 MiB).
 MAX_CHAIN = 20
 
-_CLAMP_TOL = 1e-12
 _FORMAT_HEADER = "#cets v1"
-
-
-def rotation_angle(p0: float) -> float:
-    """Angle t in [0, pi/2] with cos^2 t = p0.
-
-    p0 slightly outside [0, 1] (within 1e-12) is clamped; anything
-    further out indicates a broken upstream probability and raises.
-    """
-    if p0 < 0.0 or p0 > 1.0:
-        if p0 < -_CLAMP_TOL or p0 > 1.0 + _CLAMP_TOL:
-            raise NumericError(f"cos^2 argument {p0!r} outside [0, 1]")
-        p0 = min(max(p0, 0.0), 1.0)
-    return math.acos(math.sqrt(p0))
 
 
 @dataclass(frozen=True)
@@ -66,35 +50,56 @@ class AngleSet:
     theta_2: float
 
 
-def _split_angles(weights: np.ndarray) -> np.ndarray:
-    """(B, 6) `AngleSet` angles of B triangle points' (B, 8) Gibbs weights.
+def _windows(topology: str, n: int) -> list[int]:
+    """How many nearest predecessors each site is conditioned on."""
+    reach = n - 1 if topology == model.TRIANGLE else 1
+    return [min(site, reach) for site in range(n)]
 
-    Each is arctan2(sqrt(mass of bit 1), sqrt(mass of bit 0)) over its
-    branch, so a branch whose masses both underflow to 0 gets a finite
-    angle, where arccos(sqrt(p0)) would read p0 = 0/0.
+
+def gibbs_angles(weights: np.ndarray, params: model.ModelParams) -> np.ndarray:
+    """(B, rotations) angles, in gate order, of B points' (B, 2**n) Gibbs
+    weights; `params` is any one of the points, for its topology and size.
+
+    Each split angle is arctan2(sqrt(mass of bit 1), sqrt(mass of bit 0))
+    over its branch, so a branch whose masses both underflow to 0 gets a
+    finite angle, where the ratio m0 / (m0 + m1) would be 0/0.
     """
-    pairs = weights[:, ::2] + weights[:, 1::2]  # b3 summed out
-    # (mass of bit 0, mass of bit 1) of b1; of b2 given b1 = 0 and 1; and
-    # of b3 given b1 b2 = 00, 01 and 11
-    masses = np.concatenate((pairs[:, ::2] + pairs[:, 1::2], pairs,
-                             weights[:, :4], weights[:, 6:]), axis=1)
-    roots = np.sqrt(masses)
-    return np.arctan2(roots[:, 1::2], roots[:, ::2])
-
-
-def triangle_angles(weights: np.ndarray) -> np.ndarray:
-    """(B, 7) rotation angles, in gate order, of B triangle points' (B, 8)
-    Gibbs weights: the six split angles, telescoped."""
-    x, y, z, t0, t1, t2 = _split_angles(weights).T
-    d1 = t1 - t0
-    return np.array([x, y, z - y, t0, d1, d1, (t2 - t1) - d1]).T
+    windows = _windows(params.topology, params.n)
+    rows = len(weights)
+    prefix = [weights]  # marginals of b_0 .. b_i, later bits summed out pairwise
+    for _ in windows[1:]:
+        prefix.append(prefix[-1][:, ::2] + prefix[-1][:, 1::2])
+    masses = []  # each site's masses, indexed by (window bits, own bit)
+    for site, (marginal, k) in enumerate(zip(reversed(prefix), windows)):
+        if k < site:  # the bits before the window summed out
+            marginal = marginal.reshape(rows, -1, 2 << k).sum(axis=1)
+        if k > 1:  # in gate order, whose lowest window bit is the farthest
+            bits = marginal.reshape((rows,) + (2,) * (k + 1))
+            marginal = bits.transpose(0, *range(k, 0, -1), k + 1).reshape(rows, -1)
+        masses.append(marginal)
+    roots = np.sqrt(np.concatenate(masses, axis=1))
+    angles = np.arctan2(roots[:, 1::2], roots[:, ::2])
+    # Telescope in place, a window bit at a time: each split less the one with
+    # the bit lowered.  Every site after the first has a window, so the lowest
+    # bit pairs columns (1, 2), (3, 4), ... of every block at once.
+    angles[:, 2::2] -= angles[:, 1::2]
+    start = 0
+    for k in windows:
+        block = angles[:, start:start + (1 << k)]  # a view of angles
+        for bit in range(1, k):
+            pairs = block.reshape(rows, -1, 2, 1 << bit)
+            pairs[:, :, 1] -= pairs[:, :, 0]
+        start += 1 << k
+    return angles
 
 
 def cets_angles(params: model.ModelParams) -> AngleSet:
-    """Rotation angles preparing the triangle's coherent Gibbs encoding."""
+    """Rotation angles preparing the triangle's coherent Gibbs encoding: the
+    sums of the telescoped rotations that act on each branch."""
     if params.topology != model.TRIANGLE:
         raise TopologyError("cets_angles is defined for the triangle")
-    return AngleSet(*_split_angles(model.gibbs_tables([params])[1])[0].tolist())
+    x, y, dz, t0, d1, d2, d12 = rotation_angles(params)
+    return AngleSet(x, y, y + dz, t0, t0 + d1, t0 + d1 + d2 + d12)
 
 
 @dataclass(frozen=True)
@@ -156,35 +161,24 @@ class Circuit:
 
 
 def rotation_angles(params: model.ModelParams) -> list[float]:
-    """The rotation angles of a point's preparation circuit, in gate order.
-
-    The triangle's seven telescope the six angles of `cets_angles`; a
-    chain's 2n - 1 realise its nearest-neighbour conditionals, one
-    uncontrolled and one controlled rotation per site after the first.
-    """
-    if params.topology == model.TRIANGLE:
-        return triangle_angles(model.gibbs_tables([params])[1])[0].tolist()
+    """The rotation angles of a point's preparation circuit, in gate order."""
     if params.n > MAX_CHAIN:
         raise CapacityError(f"chains support n <= {MAX_CHAIN}, got {params.n}")
-    table = model.chain_conditionals(params).table
-    angles = [rotation_angle(table[0, 0, 0])]
-    for i in range(1, params.n):
-        t0 = rotation_angle(table[i, 0, 0])
-        angles += (t0, rotation_angle(table[i, 1, 0]) - t0)
-    return angles
+    return gibbs_angles(model.gibbs_tables([params])[1], params)[0].tolist()
 
 
-def _layout(params: model.ModelParams, off: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(target, controls) of each rotation, in the order of rotation_angles,
-    with the spins on qubits off, off + 1, ..."""
-    if params.topology == model.TRIANGLE:
-        q1, q2, q3 = off, off + 1, off + 2
-        return [(q1, ()), (q2, ()), (q2, (q1,)), (q3, ()), (q3, (q1,)), (q3, (q2,)),
-                (q3, (q1, q2))]
-    layout = [(off, ())]
-    for q in range(off + 1, off + params.n):
-        layout += ((q, ()), (q, (q - 1,)))
-    return layout
+@lru_cache(maxsize=64)
+def _layout(topology: str, n: int, off: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(target, controls) of each rotation, in the order of gibbs_angles, with the
+    spins on qubits off, off + 1, ...: per site, one for each subset of its
+    window, ordered by a mask whose lowest bit is the farthest predecessor."""
+    layout = []
+    for site, k in enumerate(_windows(topology, n)):
+        controls = [()]
+        for qubit in range(off + site - k, off + site):
+            controls += [c + (qubit,) for c in controls]
+        layout += [(off + site, c) for c in controls]
+    return tuple(layout)
 
 
 def build_circuit(
@@ -199,10 +193,11 @@ def build_circuit(
     if angles is None:
         angles = rotation_angles(params)
     off = 1 if include_probe else 0
+    layout = _layout(params.topology, params.n, off)
     gates = [Gate(kind="h", target=0)] if include_probe else []
     gates += [
         Gate(kind="rot", target=target, controls=controls, theta=theta)
-        for (target, controls), theta in zip(_layout(params, off), angles)
+        for (target, controls), theta in zip(layout, angles)
     ]
     return Circuit(
         qubit_count=params.n + off,

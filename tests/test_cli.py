@@ -185,6 +185,20 @@ class TestPoint:
         row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
         assert row[6] == "0.0"
 
+    @pytest.mark.parametrize("beta", ["1e16", "2", "0"])
+    def test_readouts_rounding_to_zero_print_positive(self, capsys, beta):
+        # at h = 0 some readouts are about -1e-17, which rounds to -0
+        row = run_point(ModelParams(J=1.0, h=0.0, beta=float(beta)))
+        values = [getattr(res, name) for res in row.results
+                  for name in ("magnetization", "pair_correlation", "triple_correlation")]
+        for res in row.results:
+            values += [res.measurements.value(label).real for label in LABELS]
+        assert any(f"{v:+.9f}" == "-0.000000000" for v in values)
+        code, out, _ = run_cli(["point", "--beta", beta, "--h", "0", "--J", "1"], capsys)
+        assert code == cli.EXIT_OK
+        assert "-0.000000000" not in out
+        assert "M=+0.000000000" in out
+
     @pytest.mark.parametrize(
         "table",
         [{"Z1": {"t2": 1}}, {"Z1": "fast"}, {"Z1": [0.3]}, {"Z1": None},

@@ -34,13 +34,16 @@ GOLDEN = {
     "noise-study --beta 11 --h 1 --eta 0.5":
         "a5e691231bd0c551e6d9b3681908b08a0b51ee4fa51ac02d81408fc3b6e5286c",
     "circuit --topology chain --n 7 --beta 2 --h 0.3 --probe":
-        "56665297922a26e6eee0875d2a76654aba239c1e1175b7ca0b6547ae93b37392",
+        "fd7e1e2199fde2664afaed9233d5e8c10cbac572984ecf9d600723ebeefdbf69",
+    # a cold chain on the h = 2J boundary: degenerate levels, exact angles
+    "circuit --topology chain --n 6 --beta 1e16 --h 2":
+        "f19e8e1bb915e8f5ba906b4d31c14721ceee18b88489129d6ddc9385d85fe018",
     # the triangle's angles at 17 digits, on the h = 2J phase boundary
     "circuit --beta 1e12 --h 0.6 --J 0.3":
         "1cbca8015d1aa5a72c811902d03d685a737a0467107b9c9016bc4182c13b94fc",
     # cold zero-field limit: S = ln 6
     "point --beta 1e16 --h 0 --J 1":
-        "8f5228f9c8bf8dd44b6a20e669344adbc6fbf9242bc3bf34a5b78c70a81cad83",
+        "35bf7e18c728505eb2d719740ff488ec54e218ba9871f88a2d8d401953d308bf",
     # a bad --beta is reported before a bad noise option ...
     "point --beta -1 --h 0 --eta 2":
         "ae6181a43434669e333318bda950ee265811ca8750cac9b75bb8e0040fd450a4",

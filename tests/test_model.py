@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from cetsim.engine import run_circuit
 from cetsim.errors import DomainError, TopologyError
 from cetsim.model import (
     CHAIN,
     ModelParams,
     cets_amplitudes,
-    chain_conditionals,
     exact_entropy,
     exact_expectation,
     gibbs_distribution,
@@ -17,6 +17,7 @@ from cetsim.model import (
     z_signs,
 )
 from cetsim.pauli import PauliString
+from cetsim.synth import build_chain_circuit, rotation_angles
 
 # Hand-enumerated energies of the triangle at J=1, h=1, indexed by the
 # configuration bit string b1 b2 b3 (bit 0 = spin up).
@@ -158,8 +159,8 @@ def test_chain_wide_domain_normalises():
             n=int(rng.integers(1, 10)),
             topology=CHAIN,
         )
-        chain_conditionals(params)
         gibbs_distribution(params)
+        assert np.isfinite(rotation_angles(params)).all()
 
 
 def test_exact_expectation_landmarks():
@@ -236,57 +237,56 @@ def test_cets_amplitudes_are_sqrt_weights():
     np.testing.assert_allclose(cets_amplitudes(params) ** 2, table.weights, atol=1e-14)
 
 
-def chain_rule_weight(cond, index):
-    """Gibbs probability of one configuration via the chain rule."""
-    n = cond.params.n
-    bits = [(index >> (n - 1 - i)) & 1 for i in range(n)]
-    p = cond.table[0, 0, bits[0]]
-    for i in range(1, n):
-        p *= cond.table[i, bits[i - 1], bits[i]]
-    return float(p)
+def chain_probabilities(params):
+    """Probabilities the chain's preparation circuit puts on each configuration."""
+    return run_circuit(build_chain_circuit(params)).probabilities()
 
 
 class TestChainConditionals:
-    def test_requires_chain(self):
-        with pytest.raises(TopologyError):
-            chain_conditionals(ModelParams(J=1.0, h=0.0, beta=1.0))
+    """A chain's nearest-neighbour conditionals, as its circuit realises them."""
 
     def test_single_site_marginal(self):
         # bit 0 is z=+1, which costs +h, so its weight is exp(-beta h)
         params = ModelParams(J=1.0, h=0.8, beta=2.0, n=1, topology=CHAIN)
-        cond = chain_conditionals(params)
         up = math.exp(-1.6) / (2 * math.cosh(1.6))
-        assert cond.table[0, 0, 0] == pytest.approx(up, abs=1e-14)
-        assert cond.table[0, 0, 1] == pytest.approx(1 - up, abs=1e-14)
+        np.testing.assert_allclose(chain_probabilities(params), [up, 1 - up], atol=1e-14)
 
     def test_rows_normalise(self):
+        # the prepared state is normalised, and each spin's conditional on
+        # all its predecessors is the one row of its nearest predecessor
         params = ModelParams(J=1.0, h=-0.3, beta=4.0, n=7, topology=CHAIN)
-        cond = chain_conditionals(params)
-        np.testing.assert_allclose(cond.table.sum(axis=2), 1.0, atol=1e-12)
+        probs = chain_probabilities(params)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        for site in range(1, 7):
+            prefix = probs.reshape(2 ** (site + 1), -1).sum(axis=1).reshape(-1, 2, 2)
+            rows = prefix / prefix.sum(axis=2, keepdims=True)
+            np.testing.assert_allclose(rows, np.broadcast_to(rows[:1], rows.shape),
+                                       atol=1e-12)
 
     def test_beta_zero_gives_coin_flips(self):
         params = ModelParams(J=1.0, h=0.5, beta=0.0, n=4, topology=CHAIN)
-        cond = chain_conditionals(params)
-        np.testing.assert_allclose(cond.table, 0.5, atol=1e-15)
+        angles = rotation_angles(params)
+        # uncontrolled rotations split evenly, controlled ones add nothing
+        assert [angles[0]] + angles[1::2] == [math.pi / 4] * 4
+        assert angles[2::2] == [0.0] * 3
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_products_reproduce_gibbs(self, n):
         # brute-force oracle, written out independently of the model helpers
         params = ModelParams(J=1.0, h=0.7, beta=2.0, n=n, topology=CHAIN)
-        cond = chain_conditionals(params)
         boltz = []
         for k in range(2**n):
             z = [1 - 2 * ((k >> (n - 1 - i)) & 1) for i in range(n)]
             e = sum(z[i] * z[i + 1] for i in range(n - 1)) + 0.7 * sum(z)
             boltz.append(math.exp(-2.0 * e))
         total = sum(boltz)
-        for k in range(2**n):
-            expected = boltz[k] / total
-            assert chain_rule_weight(cond, k) == pytest.approx(expected, abs=1e-10)
+        np.testing.assert_allclose(
+            chain_probabilities(params), [b / total for b in boltz], atol=1e-10
+        )
 
     def test_large_beta_does_not_overflow(self):
         # h=3 is past the h=2J crossover, so the field wins: all spins down
         params = ModelParams(J=1.0, h=3.0, beta=50.0, n=20, topology=CHAIN)
-        cond = chain_conditionals(params)
-        assert np.isfinite(cond.table).all()
-        assert chain_rule_weight(cond, 2**20 - 1) == pytest.approx(1.0, abs=1e-12)
+        probs = chain_probabilities(params)
+        assert probs[-1] == pytest.approx(1.0, abs=1e-12)
+        assert probs[:-1].sum() <= 1e-12

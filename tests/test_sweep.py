@@ -202,7 +202,7 @@ def count_calls(monkeypatch):
     and circuit, counted from here on."""
     calls = {}
     for owner, name in ((synth, "build_circuit"), (synth, "rotation_angles"),
-                        (synth, "cets_angles"), (synth, "triangle_angles"),
+                        (synth, "cets_angles"), (synth, "gibbs_angles"),
                         (model, "gibbs_tables")):
         def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
@@ -225,14 +225,14 @@ class TestSinglePreparation:
         monkeypatch.setattr(engine, "probe_expectation", no_probe)
         run_point(triangle(2.0, 0.5), noise=noise)
         # its weights and angles are formed once, not again by build_circuit
-        assert calls == {"build_circuit": 1, "gibbs_tables": 1, "triangle_angles": 1}
+        assert calls == {"build_circuit": 1, "gibbs_tables": 1, "gibbs_angles": 1}
 
     def test_one_circuit_per_batch(self, monkeypatch):
         calls = count_calls(monkeypatch)
         spec = SweepSpec(betas=(0.5, 3.0, 11.0), fields=(-1.0, 0.0, 0.5, 2.0))
         run_sweep(spec)
         # one batch of weights and angles; no point's angles on their own
-        assert calls == {"build_circuit": 1, "gibbs_tables": 1, "triangle_angles": 1}
+        assert calls == {"build_circuit": 1, "gibbs_tables": 1, "gibbs_angles": 1}
 
     def test_sweep_and_emitters_build_no_per_point_objects(
         self, monkeypatch, tmp_path

@@ -1,11 +1,13 @@
 import math
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cetsim import model
 from cetsim.engine import run_circuit
-from cetsim.errors import CapacityError, DomainError, NumericError, TopologyError
+from cetsim.errors import CapacityError, DomainError, TopologyError
 from cetsim.model import CHAIN, ModelParams, gibbs_distribution, gibbs_tables
 from cetsim.synth import (
     Circuit,
@@ -15,12 +17,11 @@ from cetsim.synth import (
     build_triangle_circuit,
     cets_angles,
     export_circuit,
+    gibbs_angles,
     load_circuit,
     parse_circuit,
-    rotation_angle,
     rotation_angles,
     save_circuit,
-    triangle_angles,
 )
 
 
@@ -79,7 +80,13 @@ class TestGibbsTree:
     def test_batch_rows_are_single_point_calls(self):
         points = [params(b, h, J) for b in (0.0, 0.7, 1e8) for h in (-2.0, 0.6)
                   for J in (0.3, -1.0)]
-        batch = triangle_angles(gibbs_tables(points)[1])
+        batch = gibbs_angles(gibbs_tables(points)[1], points[0])
+        assert batch.tolist() == [rotation_angles(p) for p in points]
+
+    def test_chain_batch_rows_are_single_point_calls(self):
+        points = [ModelParams(J=J, h=h, beta=b, n=5, topology=CHAIN)
+                  for b in (0.0, 0.7, 1e12) for h in (-2.0, 0.6) for J in (0.3, -1.0)]
+        batch = gibbs_angles(gibbs_tables(points)[1], points[0])
         assert batch.tolist() == [rotation_angles(p) for p in points]
 
 
@@ -135,19 +142,18 @@ class TestAngles:
 
 
 class TestRotationAngle:
+    """One split's angle, read off a one-spin chain's two masses."""
+
     def test_exact_bounds(self):
-        assert rotation_angle(1.0) == 0.0
-        assert rotation_angle(0.0) == pytest.approx(math.pi / 2)
+        one = ModelParams(J=1.0, h=0.0, beta=1.0, n=1, topology=CHAIN)
+        angles = gibbs_angles(np.array([[1.0, 0.0], [0.0, 1.0]]), one)
+        assert angles.tolist() == [[0.0], [math.pi / 2]]
 
     def test_clamps_rounding_spill(self):
-        assert rotation_angle(1.0 + 5e-13) == 0.0
-        assert rotation_angle(-5e-13) == pytest.approx(math.pi / 2)
-
-    def test_rejects_real_violations(self):
-        with pytest.raises(NumericError):
-            rotation_angle(1.0 + 1e-9)
-        with pytest.raises(NumericError):
-            rotation_angle(-1e-9)
+        # masses need no normalising, so a sum past one by rounding needs no clamp
+        one = ModelParams(J=1.0, h=0.0, beta=1.0, n=1, topology=CHAIN)
+        angles = gibbs_angles(np.array([[1.0 + 5e-13, 0.0], [0.0, 1.0 + 5e-13]]), one)
+        assert angles.tolist() == [[0.0], [math.pi / 2]]
 
 
 class TestTriangleCircuit:
@@ -213,6 +219,55 @@ class TestChainCircuit:
         assert [(g.target, g.controls) for g in gates] == [
             (1, ()), (2, ()), (2, (1,)), (3, ()), (3, (2,)), (4, ()), (4, (3,)),
         ]
+
+
+def fraction_weights(params):
+    """Gibbs weights from each level's exact rational difference to the
+    ground level, written out independently of the model helpers: a
+    degenerate level weighs exactly 1 before normalising."""
+    J, h, beta = (Fraction(x) for x in (params.J, params.h, params.beta))
+    n = params.n
+    levels = []
+    for k in range(2**n):
+        z = [1 - 2 * ((k >> (n - 1 - i)) & 1) for i in range(n)]
+        levels.append(J * sum(z[i] * z[j] for i, j in params.bonds()) + h * sum(z))
+    ground = min(levels)
+    weights = [math.exp(-float(beta * (level - ground))) for level in levels]
+    total = math.fsum(weights)
+    return np.array([w / total for w in weights])
+
+
+class TestChainGroundTruth:
+    @pytest.mark.parametrize("J, h", [
+        (1.0, 2.0), (1.0, -2.0), (1.0, 0.0), (-1.0, 0.0), (0.3, 0.6), (0.3, 0.0),
+        (1 / 3, 2 / 3), (1 / 3, 0.0), (0.3, 0.7),
+    ])
+    def test_cold_degenerate_chains_match_fraction_reference(self, J, h):
+        # h = 2J and h = 0 leave degenerate ground levels, non-dyadic J rounds
+        for beta in (1e8, 1e12, 1e16):
+            for n in range(3, 8):
+                p = ModelParams(J=J, h=h, beta=beta, n=n, topology=CHAIN)
+                probs = run_circuit(build_chain_circuit(p)).probabilities()
+                assert np.abs(probs - fraction_weights(p)).max() <= 1e-15, (beta, n)
+
+    @pytest.mark.parametrize("beta", [1e8, 1e12, 1e16])
+    def test_circuit_is_exact_on_the_h_2j_boundary(self, beta):
+        p = ModelParams(J=1.0, h=2.0, beta=beta, n=6, topology=CHAIN)
+        probs = run_circuit(build_chain_circuit(p)).probabilities()
+        assert np.abs(probs - gibbs_distribution(p).weights).max() <= 1e-15
+
+    def test_longest_chain_forms_no_spin_table(self, monkeypatch):
+        real = model.spin_values
+
+        def no_table(n):
+            if n == 20:
+                raise AssertionError("spin_values(20) is a 160 MiB table")
+            return real(n)
+
+        monkeypatch.setattr(model, "spin_values", no_table)
+        model._level_counts.cache_clear()
+        p = ModelParams(J=1.0, h=0.7, beta=2.0, n=20, topology=CHAIN)
+        assert len(build_chain_circuit(p).gates) == 39
 
 
 class TestRotationAngles:
