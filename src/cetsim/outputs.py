@@ -9,18 +9,22 @@ Every emitter reads the dataset's (stage, point) columns, never its
 per-point `rows` views.  A row file (`sweep.csv`, `sweep.json`) is a
 fixed head, the rows of the grid's points in order, and a fixed tail.
 The rows of any contiguous range of points are spelled by one range
-speller per file, a chunk of points at a time, so neither file is held
-whole.  `sweep.json`'s rows are filled into a fixed `%` template whose
-keys are already sorted; each number is spelled as `json` spells it, so
-the file is the one `json.dump(indent=2, sort_keys=True)` would write,
-without its pure-Python encoder.
+speller for both files, in one pass per chunk of points, so neither
+file is held whole.  A chunk's numbers are gathered into one slot matrix
+and each distinct bit pattern in it is spelled once; `sweep.csv` takes
+logZ, M, C2, C3 and S from the same texts as `sweep.json`.
+`sweep.json`'s rows are filled into a fixed `%` template whose keys are
+already sorted; each number is spelled as `json` spells it, so the file
+is the one `json.dump(indent=2, sort_keys=True)` would write, without
+its pure-Python encoder.
 
 When the spec asks for more than one worker, `emit_outputs` forks
 min(parallelism, os.cpu_count(), points) processes.  Each spells one
 contiguous range of points for every row file into an unlinked
 temporary file while this process draws the plots; the row files are
-then the head, the parts in order and the tail.  The bytes are those of
-the serial path, which spells one range, the whole grid, with no fork.
+then the head, the parts in order and the tail.  Without workers this
+process spells one range, the whole grid, into one such part per file,
+so both paths write the same bytes.
 """
 
 from __future__ import annotations
@@ -63,49 +67,24 @@ _QUANTITIES = {
 }
 
 
-def _csv_rows(dataset: sweep_mod.SweepDataset, points: range) -> Iterator[str]:
-    """The CSV lines of `points`, one line per (point, provenance stage),
-    each ended by a newline; every axis value is spelled once."""
-    spec = dataset.spec
-    width = len(spec.fields)
-    J = f"{float(spec.J)!r},"
-    betas = [f"{float(b)!r}," for b in spec.betas]
-    fields = [f"{float(h)!r},{J}" for h in spec.fields]
-    for start in range(0, len(points), _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        span = slice(chunk.start, chunk.stop)
-        heads = [betas[b // width] + fields[b % width] for b in chunk]
-        tails = [f",{z!r}," for z in dataset.log_partition[span].tolist()]
-        stages = []
-        for s, provenance in enumerate(dataset.provenances):
-            # M, C2, C3, S in CSV_HEADER's order, each column spelled in one pass
-            stats = zip(*(
-                map(float.__repr__, getattr(dataset, attr)[s, span].tolist())
-                for attr, _ in _QUANTITIES.values()
-            ))
-            stages.append([
-                head + ",".join(cells) + tail + provenance + "\n"
-                for head, cells, tail in zip(heads, stats, tails)
-            ])
-        yield "".join(line for point in zip(*stages) for line in point)
-
-
 def write_csv(dataset: sweep_mod.SweepDataset, path, parts=None) -> None:
     """One line per (grid point, provenance stage).
 
-    `parts`, when given, are binary files that hold the `_csv_rows` of
-    consecutive point ranges covering the grid, in order.
+    `parts`, when given, are binary files that hold the CSV rows of
+    consecutive point ranges covering the grid, in order, as
+    `_spell_range` writes them.
     """
-    _write_rows(path, CSV_HEADER + "\n", _csv_rows, dataset, parts, "")
+    _write_rows(path, CSV_HEADER + "\n", "csv", dataset, parts, "")
 
 
-def _write_rows(path, head: str, rows, dataset, parts, tail: str) -> None:
-    """Write head, every point's rows and tail to `path`: the rows are
-    copied from `parts`, or spelled here over the whole grid."""
+def _write_rows(path, head: str, fmt: str, dataset, parts, tail: str) -> None:
+    """Write head, every point's `fmt` rows and tail to `path`: the rows
+    are copied from `parts`, or spelled here over the whole grid."""
     with open(path, "wb") as fh:
         fh.write(head.encode())
         if parts is None:
-            fh.writelines(map(str.encode, rows(dataset, range(len(dataset.log_partition)))))
+            points = range(len(dataset.log_partition))
+            fh.writelines(text.encode() for text, in _spelled_rows(dataset, points, (fmt,)))
         for part in parts or ():
             part.seek(0)
             shutil.copyfileobj(part, fh)
@@ -168,49 +147,105 @@ _ROW = _template(
 )
 
 
-def _slot_matrix(dataset: sweep_mod.SweepDataset, points: slice) -> np.ndarray:
+#: Slots per stage in a `_slot_matrix` with readouts.
+_STAGE_SLOTS = 4 + 2 * len(LABELS) + 8
+
+
+def _slot_matrix(dataset: sweep_mod.SweepDataset, points: slice, readouts: bool) -> np.ndarray:
     """(points, 1 + stages x 26): logZ, then per stage C2, C3, M, S, (imag,
-    real) per label in _OBSERVABLE_ORDER and the eight populations."""
-    stats = np.stack([dataset.pair_correlation, dataset.triple_correlation,
-                      dataset.magnetization, dataset.entropy], axis=-1)[:, points]
-    order = [LABELS.index(label) for label in _OBSERVABLE_ORDER]
-    values = dataset.values[:, points][..., order]
-    parts = np.stack([values.imag, values.real], axis=-1).reshape(*stats.shape[:2], -1)
-    stages = np.concatenate([stats, parts, dataset.populations[:, points]], axis=-1)
+    real) per label in _OBSERVABLE_ORDER and the eight populations.  Without
+    `readouts` each stage has its first four slots alone."""
+    stages = np.stack([column[:, points] for column in (
+        dataset.pair_correlation, dataset.triple_correlation,
+        dataset.magnetization, dataset.entropy,
+    )], axis=-1)
+    if readouts:
+        order = [LABELS.index(label) for label in _OBSERVABLE_ORDER]
+        values = dataset.values[:, points][..., order]
+        parts = np.stack([values.imag, values.real], axis=-1).reshape(*stages.shape[:2], -1)
+        stages = np.concatenate([stages, parts, dataset.populations[:, points]], axis=-1)
     return np.hstack([dataset.log_partition[points, None], *stages])
 
 
-def _json_rows(dataset: sweep_mod.SweepDataset, points: range) -> Iterator[str]:
-    """`points`' stretch of the "rows" list of `sweep.json`: each row after
-    its separator, so the stretches of consecutive ranges concatenate.
+def _spell(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`block`'s floats as (float.__repr__, json) texts, two object arrays
+    of its shape.
 
-    A chunk of rows is spelled in one pass over its slot matrix and filled
-    into one row template, whose slots follow the matrix.
+    Each distinct int64 bit pattern is spelled once, so -0.0 stays apart
+    from 0.0 and NaNs apart by payload.  json spells NaN and the
+    infinities its own way and every finite float as repr does; when all
+    are finite the two arrays are one.
     """
+    bits, inverse = np.unique(block.ravel().view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    reprs = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    reprs = reprs[inverse].reshape(block.shape)
+    if np.isfinite(distinct).all():
+        return reprs, reprs
+    jsons = np.array(list(map(json.dumps, distinct.tolist())), dtype=object)
+    return reprs, jsons[inverse].reshape(block.shape)
+
+
+def _spelled_rows(
+    dataset: sweep_mod.SweepDataset, points: range, formats: Sequence[str]
+) -> Iterator[list[str]]:
+    """Per chunk of `points`, the rows of each of `formats` in order.
+
+    A "csv" text holds one line per (point, provenance stage), each ended
+    by a newline.  A "json" text is the chunk's stretch of the "rows" list
+    of `sweep.json`, each row after its separator, so the stretches of
+    consecutive ranges concatenate.  A chunk's slot matrix is spelled once
+    for both: a JSON row fills one template whose slots follow the matrix,
+    and a CSV line takes logZ and its stage's M, C2, C3 and S from the
+    same texts.  Every axis value is spelled once.
+    """
+    spec = dataset.spec
+    width = len(spec.fields)
+    # without JSON only the CSV's slots are spelled
+    readouts = "json" in formats
+    stage_slots = _STAGE_SLOTS if readouts else 4
+    # logZ, then each stage's M, C2, C3 and S, as CSV_HEADER orders them
+    csv_slots = [0] + [
+        1 + stage_slots * s + k for s in range(len(dataset.provenances)) for k in (2, 0, 1, 3)
+    ]
+    csv_J = f"{float(spec.J)!r},"
+    csv_betas = [f"{float(b)!r}," for b in spec.betas]
+    csv_fields = [f"{float(h)!r},{csv_J}" for h in spec.fields]
     numbers = ["%s"] * (4 + 2 * len(LABELS))
     stages = [
         _STAGE % (*numbers, _list(["%s"] * 8, 10), json.dumps(name).replace("%", "%%"))
         for name in dataset.provenances
     ]
     template = _ROW % ("%s", "%s", "%s", "%s", _list(stages, 6))
-    spec = dataset.spec
-    width = len(spec.fields)
     J = json.dumps(spec.J)
     betas = list(map(json.dumps, spec.betas))
     fields = list(map(json.dumps, spec.fields))
     for start in range(0, len(points), _CHUNK):
         chunk = points[start : start + _CHUNK]
-        block = _slot_matrix(dataset, slice(chunk.start, chunk.stop))
-        # json spells NaN and the infinities; float.__repr__ every finite float
-        spell = float.__repr__ if np.isfinite(block).all() else json.dumps
-        texts = list(map(spell, block.ravel().tolist()))
-        slots = block.shape[1]
-        rows = [
-            template % (J, betas[b // width], fields[b % width],
-                        *texts[i * slots : (i + 1) * slots])
-            for i, b in enumerate(chunk)
-        ]
-        yield ("\n    " if chunk.start == 0 else ",\n    ") + ",\n    ".join(rows)
+        reprs, jsons = _spell(_slot_matrix(dataset, slice(chunk.start, chunk.stop), readouts))
+        texts = {}
+        if "csv" in formats:
+            cells = reprs[:, csv_slots]
+            heads = [csv_betas[b // width] + csv_fields[b % width] for b in chunk]
+            tails = [f",{z}," for z in cells[:, 0].tolist()]
+            lines = [
+                [
+                    head + ",".join(stats) + tail + provenance + "\n"
+                    for head, stats, tail in zip(
+                        heads, cells[:, 1 + 4 * s : 5 + 4 * s].tolist(), tails
+                    )
+                ]
+                for s, provenance in enumerate(dataset.provenances)
+            ]
+            texts["csv"] = "".join(line for point in zip(*lines) for line in point)
+        if "json" in formats:
+            rows = [
+                template % (J, betas[b // width], fields[b % width], *slots)
+                for b, slots in zip(chunk, jsons.tolist())
+            ]
+            sep = "\n    " if chunk.start == 0 else ",\n    "
+            texts["json"] = sep + ",\n    ".join(rows)
+        yield [texts[fmt] for fmt in formats]
 
 
 def write_json(dataset: sweep_mod.SweepDataset, path, parts=None) -> None:
@@ -218,12 +253,13 @@ def write_json(dataset: sweep_mod.SweepDataset, path, parts=None) -> None:
 
     The bytes are those of json.dump(payload, indent=2, sort_keys=True)
     plus a newline, with beta, h and J spelled from the spec's own values.
-    `parts`, when given, are binary files that hold the `_json_rows` of
-    consecutive point ranges covering the grid, in order.
+    `parts`, when given, are binary files that hold the JSON rows of
+    consecutive point ranges covering the grid, in order, as
+    `_spell_range` writes them.
     """
     spec = json.dumps(_spec_payload(dataset.spec), indent=2, sort_keys=True)
     tail = '\n  ],\n  "spec": ' + spec.replace("\n", "\n  ") + "\n}\n"
-    _write_rows(path, '{\n  "rows": [', _json_rows, dataset, parts, tail)
+    _write_rows(path, '{\n  "rows": [', "json", dataset, parts, tail)
 
 
 def _scale_colors(t: np.ndarray) -> list[str]:
@@ -312,12 +348,6 @@ def write_line_plot(dataset: sweep_mod.SweepDataset, quantity: str, path) -> Non
     column = getattr(dataset, attr)
     for provenance, ys in zip(dataset.provenances, column):
         _check_finite(ys, quantity, provenance)
-    series = [
-        (beta, provenance, _PALETTE[bi % len(_PALETTE)], ys[dataset.beta_points(bi)])
-        for bi, beta in enumerate(dataset.spec.betas)
-        for provenance, ys in zip(dataset.provenances, column.tolist())
-    ]
-
     xlo, xhi = min(fields), max(fields)
     ylo, yhi = float(column.min()), float(column.max())
     if yhi == ylo:
@@ -328,10 +358,14 @@ def write_line_plot(dataset: sweep_mod.SweepDataset, quantity: str, path) -> Non
     def px(x: float) -> float:
         return x0 + (x1 - x0) * ((x - xlo) / (xhi - xlo) if xhi != xlo else 0.5)
 
-    def py(y: float) -> float:
-        return y0 + (y1 - y0) * (y - ylo) / (yhi - ylo)
-
     xs = [f"{px(x):.2f}" for x in fields]
+    # every stage's y pixels in one expression, in the scalar order of operations
+    pys = (y0 + (y1 - y0) * (column - ylo) / (yhi - ylo)).tolist()
+    series = [
+        (beta, provenance, _PALETTE[bi % len(_PALETTE)], ys[dataset.beta_points(bi)])
+        for bi, beta in enumerate(dataset.spec.betas)
+        for provenance, ys in zip(dataset.provenances, pys)
+    ]
     body = [
         f'<text class="title" x="{(x0 + x1) / 2:.2f}" y="22" '
         f'text-anchor="middle">{ylabel} vs h</text>'
@@ -339,7 +373,7 @@ def write_line_plot(dataset: sweep_mod.SweepDataset, quantity: str, path) -> Non
     body += _axes(x0, y0, x1, y1, xlo, xhi, ylo, yhi, "h (units of J)", ylabel)
     legend_y = 46.0
     for beta, provenance, color, ys in series:
-        points = " ".join(f"{x},{py(y):.2f}" for x, y in zip(xs, ys))
+        points = " ".join(f"{x},{y:.2f}" for x, y in zip(xs, ys))
         dash = _DASHES.get(provenance, "")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         body.append(
@@ -447,21 +481,28 @@ def default_plots(dataset: sweep_mod.SweepDataset) -> list[str]:
     return plots
 
 
+def _spell_range(dataset: sweep_mod.SweepDataset, parts: dict, w: int, workers: int) -> None:
+    """Spell the w-th of `workers` consecutive point ranges into the w-th
+    file of each format's parts, {format: files}, a chunk at a time."""
+    points = len(dataset.log_partition)
+    span = range(points * w // workers, points * (w + 1) // workers)
+    files = [parts[fmt][w] for fmt in parts]
+    for texts in _spelled_rows(dataset, span, list(parts)):
+        for fh, text in zip(files, texts):
+            fh.write(text.encode())
+    for fh in files:
+        fh.flush()
+
+
 def _row_worker(
     dataset: sweep_mod.SweepDataset, parts: dict, w: int, workers: int
 ) -> NoReturn:
-    """Spell the w-th of `workers` consecutive point ranges into the w-th
-    file of each format's parts, {format: files}, and end this forked
-    process.  It never returns into the caller, flushes no inherited stdio
-    buffer and runs no exit hook; it makes no BLAS call."""
+    """`_spell_range` in a forked process, which it then ends.  It never
+    returns into the caller, flushes no inherited stdio buffer and runs no
+    exit hook; it makes no BLAS call."""
     status = 1
     try:
-        points = len(dataset.log_partition)
-        span = range(points * w // workers, points * (w + 1) // workers)
-        for fmt, files in parts.items():
-            rows = _csv_rows if fmt == "csv" else _json_rows
-            files[w].writelines(map(str.encode, rows(dataset, span)))
-            files[w].flush()
+        _spell_range(dataset, parts, w, workers)
         status = 0
     finally:
         os._exit(status)
@@ -478,7 +519,8 @@ def emit_outputs(
 
     The plots are drawn first, while any forked workers spell the row
     files' parts; every worker is reaped before this returns or raises,
-    and one that failed raises OSError.
+    and one that failed raises OSError.  Without workers this process
+    spells the whole grid into one part per row file after the plots.
     """
     formats = list(formats)
     for fmt in formats:
@@ -493,7 +535,7 @@ def emit_outputs(
     with contextlib.ExitStack() as stack:
         parts = {
             fmt: [stack.enter_context(tempfile.TemporaryFile(dir=out_dir))
-                  for _ in range(workers)]
+                  for _ in range(max(workers, 1))]
             for fmt in rows
         }
         pids = []
@@ -512,10 +554,12 @@ def emit_outputs(
         failed = [os.waitstatus_to_exitcode(status) for status in statuses if status]
         if failed:
             raise OSError(f"a sweep row worker exited with status {failed[0]}")
+        if rows and not workers:
+            _spell_range(dataset, parts, 0, 1)
         for fmt in rows:
             path = os.path.join(out_dir, f"sweep.{fmt}")
             writer = write_csv if fmt == "csv" else write_json
             # `parts` by keyword: a writer's path is its last positional argument
-            writer(dataset, path, parts=parts[fmt] or None)
+            writer(dataset, path, parts=parts[fmt])
             written[fmt] = [path]
     return [path for fmt in formats for path in written[fmt]]

@@ -2,10 +2,13 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cetsim import outputs
 from cetsim.errors import DomainError, NumericError
@@ -258,6 +261,45 @@ class TestJsonBytes:
         assert spec["noise"]["decay"]["Z1"]["t1"] == 3.0
 
 
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: Values whose spelling is easy to get wrong: signed zeros, NaNs with
+#: distinct payloads and signs, infinities, subnormals and the values at
+#: repr's switches between positional and exponent notation.
+_EDGE_FLOATS = (
+    0.0, -0.0, math.inf, -math.inf,
+    _float(0x7FF8000000000000), _float(0x7FF8000000000001),
+    _float(0xFFF8000000000000), _float(0x7FFFFFFFFFFFFFFF),
+    5e-324, -5e-324, 2.225073858507201e-308,
+    1e16, 9999999999999998.0, 1e-4, 1e-5, 0.7, 0.0375, 1.0, -1.0,
+)
+
+
+@st.composite
+def _blocks(draw):
+    """A (rows, columns) float block drawn from a pool of at most five
+    values, edge values or any float, so repeats are heavy."""
+    pool = draw(st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(), min_size=1, max_size=5))
+    rows, columns = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    values = draw(st.lists(st.sampled_from(pool), min_size=rows * columns,
+                           max_size=rows * columns))
+    return np.array(values, dtype=np.float64).reshape(rows, columns)
+
+
+class TestSpell:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_blocks())
+    @example(np.array([_EDGE_FLOATS, _EDGE_FLOATS[::-1]]))
+    @example(np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]))
+    def test_matches_per_element_spelling(self, block):
+        reprs, jsons = outputs._spell(block)
+        values = block.tolist()
+        assert reprs.tolist() == [[float.__repr__(x) for x in row] for row in values]
+        assert jsons.tolist() == [[json.dumps(x) for x in row] for row in values]
+
+
 class TestFromRows:
     def test_rows_must_fill_the_grid(self, noisy_dataset):
         d = noisy_dataset
@@ -434,16 +476,26 @@ class TestParallelRows:
         monkeypatch.setattr(outputs, "_CHUNK", chunk)
         dataset = build()
         points = len(dataset.log_partition)
-        formats = ["csv", "json"]
+        both = ["csv", "json"]
         if np.isfinite(dataset.entropy).all():  # special floats cannot be plotted
-            formats.append("svg")
-        serial = _emit(dataset, 1, formats, tmp_path / "serial")
-        assert forks == []
-        for workers in (2, 3, points + 1):
+            both.append("svg")
+        written = {}  # each file's bytes, whichever format set wrote it
+        for formats in (["csv"], ["json"], both):
+            out = tmp_path / "-".join(formats)
             del forks[:]
-            assert _emit(dataset, workers, formats, tmp_path / str(workers)) == serial
-            expected = min(workers, points)
-            assert len(forks) == (expected if expected > 1 else 0)
+            serial = _emit(dataset, 1, formats, out / "serial")
+            assert forks == []
+            for workers in (2, 3, points + 1):
+                del forks[:]
+                assert _emit(dataset, workers, formats, out / str(workers)) == serial
+                expected = min(workers, points)
+                assert len(forks) == (expected if expected > 1 else 0)
+            for name, data in serial[1].items():
+                assert written.setdefault(name, data) == data, name
+        write_csv(dataset, tmp_path / "direct.csv")
+        write_json(dataset, tmp_path / "direct.json")
+        assert (tmp_path / "direct.csv").read_bytes() == written["sweep.csv"]
+        assert (tmp_path / "direct.json").read_bytes() == written["sweep.json"]
 
     def test_workers_capped_by_cpus_and_points(self, ideal_dataset, forks, tmp_path):
         dataset = dataclasses.replace(
