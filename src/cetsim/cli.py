@@ -121,10 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number or lo:hi:steps")
     swp.add_argument("--J", type=float, default=1.0)
     swp.add_argument("--parallel", type=int, default=1, metavar="N",
-                     help="N >= 1 processes write sweep.csv and sweep.json, at "
-                          "most one per CPU and per grid point; the points run "
-                          "as one batch in this process, and every output is "
-                          "byte-identical for any N")
+                     help="N >= 1 processes, this one included, spell sweep.csv "
+                          "and sweep.json, at most one per usable CPU and per "
+                          "256-point chunk; the points run as one batch in this "
+                          "process, and every output is byte-identical for any N")
     swp.add_argument("--plot", default=None,
                      help="comma-separated plot tokens, e.g. M-vs-h,S-heatmap")
     _add_noise_arguments(swp)

@@ -18,23 +18,31 @@ already sorted; each number is spelled as `json` spells it, so the file
 is the one `json.dump(indent=2, sort_keys=True)` would write, without
 its pure-Python encoder.
 
-When the spec asks for more than one worker, `emit_outputs` forks
-min(parallelism, os.cpu_count(), points) processes.  Each spells one
-contiguous range of points for every row file into an unlinked
-temporary file while this process draws the plots; the row files are
-then the head, the parts in order and the tail.  Without workers this
-process spells one range, the whole grid, into one such part per file,
-so both paths write the same bytes.
+`emit_outputs` spells the row files in N = min(parallelism, usable
+CPUs, chunks) processes: this one and N - 1 forked children.  Each
+claims the next chunk of points from one shared ledger, spells it into
+its own unlinked temporary part per row file and records its claim and
+byte lengths, so this process, which draws the plots first, simply
+claims fewer chunks.  The row files are then the head, every chunk in
+order read from its claimant's part, and the tail.  With one process
+the same claim loop spells every chunk in order, so the bytes are the
+same for any N.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import mmap
 import os
-import shutil
+import struct
 import tempfile
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+
+try:
+    import fcntl
+except ImportError:  # such systems have no fork either: one process, no lock
+    fcntl = None
 
 import numpy as np
 
@@ -70,24 +78,22 @@ _QUANTITIES = {
 def write_csv(dataset: sweep_mod.SweepDataset, path, parts=None) -> None:
     """One line per (grid point, provenance stage).
 
-    `parts`, when given, are binary files that hold the CSV rows of
-    consecutive point ranges covering the grid, in order, as
-    `_spell_range` writes them.
+    `parts`, when given, are the grid's chunks of CSV rows in order, each
+    a (binary file, byte length) pair read from the file's position.
     """
     _write_rows(path, CSV_HEADER + "\n", "csv", dataset, parts, "")
 
 
 def _write_rows(path, head: str, fmt: str, dataset, parts, tail: str) -> None:
     """Write head, every point's `fmt` rows and tail to `path`: the rows
-    are copied from `parts`, or spelled here over the whole grid."""
+    are read from `parts`, or spelled here over the whole grid."""
     with open(path, "wb") as fh:
         fh.write(head.encode())
         if parts is None:
-            points = range(len(dataset.log_partition))
-            fh.writelines(text.encode() for text, in _spelled_rows(dataset, points, (fmt,)))
-        for part in parts or ():
-            part.seek(0)
-            shutil.copyfileobj(part, fh)
+            spell = _row_speller(dataset, (fmt,))
+            fh.writelines(spell(chunk)[0] for chunk in _chunks(dataset))
+        for part, length in parts or ():
+            fh.write(part.read(length))
         fh.write(tail.encode())
 
 
@@ -186,18 +192,26 @@ def _spell(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reprs, jsons[inverse].reshape(block.shape)
 
 
-def _spelled_rows(
-    dataset: sweep_mod.SweepDataset, points: range, formats: Sequence[str]
-) -> Iterator[list[str]]:
-    """Per chunk of `points`, the rows of each of `formats` in order.
+def _chunks(dataset: sweep_mod.SweepDataset) -> Iterator[range]:
+    """The grid's chunks of points, in order."""
+    points = len(dataset.log_partition)
+    for start in range(0, points, _CHUNK):
+        yield range(start, min(start + _CHUNK, points))
+
+
+def _row_speller(
+    dataset: sweep_mod.SweepDataset, formats: Sequence[str]
+) -> Callable[[range], list[bytes]]:
+    """A function from a chunk of points to its rows in each of `formats`.
 
     A "csv" text holds one line per (point, provenance stage), each ended
     by a newline.  A "json" text is the chunk's stretch of the "rows" list
     of `sweep.json`, each row after its separator, so the stretches of
-    consecutive ranges concatenate.  A chunk's slot matrix is spelled once
+    consecutive chunks concatenate.  A chunk's slot matrix is spelled once
     for both: a JSON row fills one template whose slots follow the matrix,
     and a CSV line takes logZ and its stage's M, C2, C3 and S from the
-    same texts.  Every axis value is spelled once.
+    same texts.  Every axis value is spelled once, here; what a chunk
+    needs is freed when its call returns.
     """
     spec = dataset.spec
     width = len(spec.fields)
@@ -220,8 +234,8 @@ def _spelled_rows(
     J = json.dumps(spec.J)
     betas = list(map(json.dumps, spec.betas))
     fields = list(map(json.dumps, spec.fields))
-    for start in range(0, len(points), _CHUNK):
-        chunk = points[start : start + _CHUNK]
+
+    def spell(chunk: range) -> list[bytes]:
         reprs, jsons = _spell(_slot_matrix(dataset, slice(chunk.start, chunk.stop), readouts))
         texts = {}
         if "csv" in formats:
@@ -237,15 +251,16 @@ def _spelled_rows(
                 ]
                 for s, provenance in enumerate(dataset.provenances)
             ]
-            texts["csv"] = "".join(line for point in zip(*lines) for line in point)
+            texts["csv"] = "".join(line for point in zip(*lines) for line in point).encode()
         if "json" in formats:
-            rows = [
+            sep = "\n    " if chunk.start == 0 else ",\n    "
+            texts["json"] = (sep + ",\n    ".join(
                 template % (J, betas[b // width], fields[b % width], *slots)
                 for b, slots in zip(chunk, jsons.tolist())
-            ]
-            sep = "\n    " if chunk.start == 0 else ",\n    "
-            texts["json"] = sep + ",\n    ".join(rows)
-        yield [texts[fmt] for fmt in formats]
+            )).encode()
+        return [texts[fmt] for fmt in formats]
+
+    return spell
 
 
 def write_json(dataset: sweep_mod.SweepDataset, path, parts=None) -> None:
@@ -253,9 +268,8 @@ def write_json(dataset: sweep_mod.SweepDataset, path, parts=None) -> None:
 
     The bytes are those of json.dump(payload, indent=2, sort_keys=True)
     plus a newline, with beta, h and J spelled from the spec's own values.
-    `parts`, when given, are binary files that hold the JSON rows of
-    consecutive point ranges covering the grid, in order, as
-    `_spell_range` writes them.
+    `parts`, when given, are the grid's chunks of JSON rows in order, each
+    a (binary file, byte length) pair read from the file's position.
     """
     spec = json.dumps(_spec_payload(dataset.spec), indent=2, sort_keys=True)
     tail = '\n  ],\n  "spec": ' + spec.replace("\n", "\n  ") + "\n}\n"
@@ -481,28 +495,91 @@ def default_plots(dataset: sweep_mod.SweepDataset) -> list[str]:
     return plots
 
 
-def _spell_range(dataset: sweep_mod.SweepDataset, parts: dict, w: int, workers: int) -> None:
-    """Spell the w-th of `workers` consecutive point ranges into the w-th
-    file of each format's parts, {format: files}, a chunk at a time."""
-    points = len(dataset.log_partition)
-    span = range(points * w // workers, points * (w + 1) // workers)
-    files = [parts[fmt][w] for fmt in parts]
-    for texts in _spelled_rows(dataset, span, list(parts)):
-        for fh, text in zip(files, texts):
-            fh.write(text.encode())
-    for fh in files:
-        fh.flush()
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    keeps one (a cpuset-limited container reports the host's count to
+    `os.cpu_count`), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _row_worker(
-    dataset: sweep_mod.SweepDataset, parts: dict, w: int, workers: int
-) -> NoReturn:
-    """`_spell_range` in a forked process, which it then ends.  It never
+class _Ledger:
+    """Which process spells each chunk of the row files, and into what.
+
+    Every process that spells has its own unlinked temporary part per row
+    format in `out_dir`.  One more such file, mapped shared so that forked
+    processes see one table, holds int64s: the next chunk to claim, then
+    per chunk its claimant and the byte length of its text in each format.
+    Between processes the counter is read and advanced under
+    `fcntl.lockf`, which the kernel releases if its holder dies.  Claims
+    only go up, so each part holds its chunks in ascending order.  `stack`
+    closes every file.
+    """
+
+    def __init__(
+        self, stack: contextlib.ExitStack, out_dir: str, formats: list[str],
+        processes: int, chunks: list[range],
+    ):
+        self.formats = formats
+        self.chunks = chunks
+        self._locked = processes > 1
+        self._width = 1 + len(formats)
+        self.parts = [
+            [stack.enter_context(tempfile.TemporaryFile(dir=out_dir)) for _ in formats]
+            for _ in range(processes)
+        ]
+        table = stack.enter_context(tempfile.TemporaryFile(dir=out_dir))
+        table.truncate(8 * (1 + len(chunks) * self._width))
+        self._fd = table.fileno()
+        self._table = stack.enter_context(mmap.mmap(self._fd, 0))
+
+    def _claim(self) -> int:
+        """The next unclaimed chunk; the counter moves past it."""
+        if self._locked:
+            fcntl.lockf(self._fd, fcntl.LOCK_EX, 8)
+        try:
+            (chunk,) = struct.unpack_from("q", self._table)
+            struct.pack_into("q", self._table, 0, chunk + 1)
+        finally:
+            if self._locked:
+                fcntl.lockf(self._fd, fcntl.LOCK_UN, 8)
+        return chunk
+
+    def spell(self, dataset: sweep_mod.SweepDataset, claimant: int) -> None:
+        """Claim chunks until none is left, appending each one's rows to the
+        claimant's parts and recording its claimant and lengths."""
+        spell = _row_speller(dataset, self.formats)
+        files = self.parts[claimant]
+        while (chunk := self._claim()) < len(self.chunks):
+            texts = spell(self.chunks[chunk])
+            for fh, text in zip(files, texts):
+                fh.write(text)
+            record = 8 * (1 + chunk * self._width)
+            struct.pack_into(f"{self._width}q", self._table, record, claimant, *map(len, texts))
+        for fh in files:
+            fh.flush()
+
+    def segments(self, fmt: str) -> list[tuple]:
+        """Every chunk of `fmt` in order, each a (part, byte length) pair;
+        each part is rewound, as its chunks are read in order."""
+        i = self.formats.index(fmt)
+        files = [parts[i] for parts in self.parts]
+        for fh in files:
+            fh.seek(0)
+        records = struct.unpack_from(f"{len(self.chunks) * self._width}q", self._table, 8)
+        return [
+            (files[records[k]], records[k + 1 + i]) for k in range(0, len(records), self._width)
+        ]
+
+
+def _row_worker(dataset: sweep_mod.SweepDataset, ledger: _Ledger, claimant: int) -> NoReturn:
+    """`ledger.spell` in a forked process, which it then ends.  It never
     returns into the caller, flushes no inherited stdio buffer and runs no
     exit hook; it makes no BLAS call."""
     status = 1
     try:
-        _spell_range(dataset, parts, w, workers)
+        ledger.spell(dataset, claimant)
         status = 0
     finally:
         os._exit(status)
@@ -514,52 +591,49 @@ def emit_outputs(
     out_dir: str,
     plots: Sequence[str] | None = None,
 ) -> list[str]:
-    """Write the requested formats into out_dir and return the paths, in
-    `formats` order.
+    """Write the requested formats into out_dir and return the paths, each
+    format once, in the order of its first appearance in `formats`.
 
-    The plots are drawn first, while any forked workers spell the row
-    files' parts; every worker is reaped before this returns or raises,
-    and one that failed raises OSError.  Without workers this process
-    spells the whole grid into one part per row file after the plots.
+    The row files are spelled by this process and any forked children,
+    each claiming chunks of points from one ledger: this process draws
+    the plots first and then claims what is left.  Every child is reaped
+    before this returns or raises, and one that failed raises OSError.
     """
-    formats = list(formats)
+    formats = list(dict.fromkeys(formats))
     for fmt in formats:
         if fmt not in sweep_mod.FORMATS:
             raise DomainError(f"unknown output format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     rows = [fmt for fmt in formats if fmt != "svg"]
-    workers = min(dataset.spec.parallelism, os.cpu_count() or 1, len(dataset.log_partition))
-    if not rows or workers < 2 or not hasattr(os, "fork"):
-        workers = 0  # the row files are spelled in this process
+    chunks = list(_chunks(dataset))
+    processes = 1
+    if rows and hasattr(os, "fork"):
+        processes = min(dataset.spec.parallelism, _usable_cpus(), len(chunks))
     written = {}
     with contextlib.ExitStack() as stack:
-        parts = {
-            fmt: [stack.enter_context(tempfile.TemporaryFile(dir=out_dir))
-                  for _ in range(max(workers, 1))]
-            for fmt in rows
-        }
+        ledger = _Ledger(stack, out_dir, rows, processes, chunks) if rows else None
         pids = []
         try:
-            for w in range(workers):
+            for claimant in range(1, processes):
                 pid = os.fork()
                 if pid == 0:
-                    _row_worker(dataset, parts, w, workers)
+                    _row_worker(dataset, ledger, claimant)
                 pids.append(pid)
             if "svg" in formats:
                 written["svg"] = _plot_files(
                     dataset, plots if plots else default_plots(dataset), out_dir
                 )
+            if rows:
+                ledger.spell(dataset, 0)
         finally:
             statuses = [os.waitpid(pid, 0)[1] for pid in pids]
         failed = [os.waitstatus_to_exitcode(status) for status in statuses if status]
         if failed:
             raise OSError(f"a sweep row worker exited with status {failed[0]}")
-        if rows and not workers:
-            _spell_range(dataset, parts, 0, 1)
         for fmt in rows:
             path = os.path.join(out_dir, f"sweep.{fmt}")
             writer = write_csv if fmt == "csv" else write_json
             # `parts` by keyword: a writer's path is its last positional argument
-            writer(dataset, path, parts=parts[fmt])
+            writer(dataset, path, parts=ledger.segments(fmt))
             written[fmt] = [path]
     return [path for fmt in formats for path in written[fmt]]

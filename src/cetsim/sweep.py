@@ -315,13 +315,14 @@ def magnetization_slice(dataset: SweepDataset, beta: float) -> np.ndarray:
 
 
 def with_parallelism(spec: SweepSpec, parallelism: int) -> SweepSpec:
-    """`spec` with `parallelism` >= 1 worker processes for its row files;
-    `spec` itself when the count is unchanged.  The copy shares `spec`'s
-    points, which the count cannot change.
+    """`spec` with `parallelism` >= 1 processes for its row files; `spec`
+    itself when the count is unchanged.  The copy shares `spec`'s points,
+    which the count cannot change.
 
-    The points are always simulated as one batch in this process; the
-    workers only spell `sweep.csv` and `sweep.json`, and the outputs are
-    byte-identical for any count.
+    The points are always simulated as one batch in this process.  This
+    process and up to `parallelism` - 1 forked children, no more than the
+    usable CPUs or the grid's chunks, only spell `sweep.csv` and
+    `sweep.json`, and the outputs are byte-identical for any count.
     """
     if parallelism == spec.parallelism:
         return spec

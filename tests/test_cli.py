@@ -462,15 +462,22 @@ class TestParallelSweep:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        # two workers on any machine
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # two processes on any machine: the calling one and one child
+        monkeypatch.setattr(cli.outputs, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli.outputs, "_CHUNK", 2)
 
     def test_failed_worker_is_io_error(self, capsys, monkeypatch, tmp_path):
-        def broken(*args):
-            raise RuntimeError("worker fault")
+        parent = os.getpid()
+        real_row_speller = cli.outputs._row_speller
 
-        # only the forked workers spell rows, so only they raise
-        monkeypatch.setattr(cli.outputs, "_slot_matrix", broken)
+        def broken_in_children(*args):
+            # raises at the call, whether or not the child claims a chunk
+            if os.getpid() != parent:
+                raise RuntimeError("worker fault")
+            return real_row_speller(*args)
+
+        # the calling process spells rows too; only the forked child raises
+        monkeypatch.setattr(cli.outputs, "_row_speller", broken_in_children)
         code, out, err = run_cli(self.ARGV + ["--out-dir", str(tmp_path)], capsys)
         assert code == cli.EXIT_IO
         assert out == ""
@@ -493,7 +500,7 @@ class TestParallelSweep:
         assert err == (
             "numeric-consistency error: cannot plot non-finite M of stage ideal\n"
         )
-        assert len(forks) == 2
+        assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import struct
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -451,9 +452,9 @@ def _one_point():
 
 @pytest.fixture
 def many_cpus(monkeypatch):
-    # the worker count is capped by the CPU count; a 64-CPU answer lets the
-    # small grids below reach every split on any machine
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    # the process count is capped by the usable CPUs; a 64-CPU answer lets
+    # the small grids below reach every split on any machine
+    monkeypatch.setattr(outputs, "_usable_cpus", lambda: 64)
 
 
 def _emit(dataset, workers, formats, out_dir):
@@ -485,11 +486,12 @@ class TestParallelRows:
             del forks[:]
             serial = _emit(dataset, 1, formats, out / "serial")
             assert forks == []
+            chunks = -(-points // chunk)
             for workers in (2, 3, points + 1):
                 del forks[:]
                 assert _emit(dataset, workers, formats, out / str(workers)) == serial
-                expected = min(workers, points)
-                assert len(forks) == (expected if expected > 1 else 0)
+                # the calling process is one of the processes that spell rows
+                assert len(forks) == min(workers, chunks) - 1
             for name, data in serial[1].items():
                 assert written.setdefault(name, data) == data, name
         write_csv(dataset, tmp_path / "direct.csv")
@@ -497,13 +499,21 @@ class TestParallelRows:
         assert (tmp_path / "direct.csv").read_bytes() == written["sweep.csv"]
         assert (tmp_path / "direct.json").read_bytes() == written["sweep.json"]
 
-    def test_workers_capped_by_cpus_and_points(self, ideal_dataset, forks, tmp_path):
+    def test_workers_capped_by_cpus_and_points(
+        self, ideal_dataset, forks, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(outputs, "_CHUNK", 1)  # one chunk per point
         dataset = dataclasses.replace(
             ideal_dataset, spec=with_parallelism(ideal_dataset.spec, 10**6)
         )
         emit_outputs(dataset, ["csv", "json"], str(tmp_path))
-        cap = min(os.cpu_count() or 1, 6)
-        assert len(forks) == (cap if cap > 1 else 0)
+        assert len(forks) == min(outputs._usable_cpus(), 6) - 1
+
+    def test_usable_cpus_follow_the_affinity_set(self, monkeypatch):
+        # a cpuset-limited container: the machine has 64 CPUs, this process may use 3
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert outputs._usable_cpus() == 3
 
     def test_default_parallelism_never_forks(self, noisy_dataset, monkeypatch, tmp_path):
         def no_fork():
@@ -513,9 +523,91 @@ class TestParallelRows:
         assert noisy_dataset.spec.parallelism == 1
         assert len(emit_outputs(noisy_dataset, ["csv", "json", "svg"], str(tmp_path))) == 10
 
-    def test_temporary_parts_leave_no_file(self, ideal_dataset, many_cpus, tmp_path):
+    def test_temporary_parts_leave_no_file(
+        self, ideal_dataset, forks, many_cpus, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(outputs, "_CHUNK", 2)
+        for processes in (1, 2):
+            del forks[:]
+            dataset = dataclasses.replace(
+                ideal_dataset, spec=with_parallelism(ideal_dataset.spec, processes)
+            )
+            out = tmp_path / str(processes)
+            emit_outputs(dataset, ["json", "csv"], str(out))
+            assert len(forks) == processes - 1
+            # neither the parts nor the ledger
+            assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.json"]
+
+    def test_own_spelling_fault_reaps_children_and_leaves_no_file(
+        self, ideal_dataset, forks, many_cpus, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(outputs, "_CHUNK", 1)
+        parent = os.getpid()
+        real_row_speller = outputs._row_speller
+
+        def broken_here(*args):
+            # raises at the call, whether or not the children left a chunk
+            if os.getpid() == parent:
+                raise RuntimeError("calling process fault")
+            return real_row_speller(*args)
+
+        monkeypatch.setattr(outputs, "_row_speller", broken_here)
         dataset = dataclasses.replace(
-            ideal_dataset, spec=with_parallelism(ideal_dataset.spec, 2)
+            ideal_dataset, spec=with_parallelism(ideal_dataset.spec, 3)
         )
-        emit_outputs(dataset, ["json", "csv"], str(tmp_path))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.json"]
+        with pytest.raises(RuntimeError, match="calling process fault"):
+            emit_outputs(dataset, ["csv", "json"], str(tmp_path))
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_late_plots_leave_the_chunks_to_the_child(
+        self, forks, many_cpus, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(outputs, "_CHUNK", 2)
+        dataset = _one_beta()
+        serial = _emit(dataset, 1, ["csv", "json"], tmp_path / "serial")
+        real_plot_files = outputs._plot_files
+        real_slot_matrix = outputs._slot_matrix
+        spelled_here = []
+
+        def slow_plot_files(*args):
+            time.sleep(0.5)
+            return real_plot_files(*args)
+
+        def counted_slot_matrix(*args):
+            spelled_here.append(args[1])  # one call per chunk, in this process only
+            return real_slot_matrix(*args)
+
+        monkeypatch.setattr(outputs, "_plot_files", slow_plot_files)
+        monkeypatch.setattr(outputs, "_slot_matrix", counted_slot_matrix)
+        _, files = _emit(dataset, 2, ["csv", "json", "svg"], tmp_path / "late")
+        assert len(forks) == 1
+        assert {name: files[name] for name in serial[1]} == serial[1]
+        chunks = -(-len(dataset.log_partition) // 2)
+        assert len(spelled_here) < chunks - len(spelled_here)
+
+    def test_claims_never_repeat_across_processes(self, forks, many_cpus, monkeypatch, tmp_path):
+        # six processes on any number of cores race for 20,000 one-point chunks,
+        # each spelled as its own index; a lost update of the claim counter
+        # hands a chunk out twice and shifts every later chunk of a part
+        monkeypatch.setattr(outputs, "_CHUNK", 1)
+        monkeypatch.setattr(
+            outputs, "_row_speller",
+            lambda dataset, formats: lambda chunk: [b"%d\n" % chunk.start] * len(formats),
+        )
+        dataset = run_sweep(SweepSpec(betas=(1.0,), fields=tuple(np.linspace(-1, 1, 20000))))
+        dataset = dataclasses.replace(dataset, spec=with_parallelism(dataset.spec, 6))
+        emit_outputs(dataset, ["csv"], str(tmp_path))
+        assert len(forks) == 5
+        rows = "".join(f"{b}\n" for b in range(20000))
+        every_chunk_once = (tmp_path / "sweep.csv").read_text() == CSV_HEADER + "\n" + rows
+        assert every_chunk_once  # a bool, so a failure prints no 20,000-line diff
+
+    def test_repeated_formats_write_once(self, ideal_dataset, tmp_path):
+        written = emit_outputs(ideal_dataset, ["csv", "csv", "svg", "json", "svg"], str(tmp_path))
+        names = [os.path.basename(p) for p in written]
+        assert names[:1] == ["sweep.csv"] and names[-1:] == ["sweep.json"]
+        assert len(names) == len(set(names))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
