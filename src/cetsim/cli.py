@@ -22,7 +22,9 @@ import numpy as np
 
 from . import model, noise, outputs, reconstruct, sweep, synth
 from .engine import run_circuit
-from .errors import CetsError, DomainError, NonPhysicalStateError, NumericError
+from .errors import (
+    CapacityError, CetsError, DomainError, NonPhysicalStateError, NumericError,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -35,21 +37,37 @@ _CONFIG_KEYS = {
 
 
 def _parse_range(text: str) -> tuple[float, ...]:
-    """Scalar "x" or inclusive range "lo:hi:steps"."""
+    """Scalar "x" or inclusive range "lo:hi:steps" of at most
+    `sweep.MAX_POINTS` steps."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
             return (float(parts[0]),)
-        if len(parts) == 3:
-            lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-            if steps < 1:
-                raise ValueError
-            return tuple(float(x) for x in np.linspace(lo, hi, steps))
+        lo, hi, steps = parts  # three parts, or ValueError
+        lo, hi, steps = float(lo), float(hi), int(steps)
+        if steps < 1:
+            raise ValueError
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a number or lo:hi:steps range, got {text!r}"
-    )
+        raise argparse.ArgumentTypeError(
+            f"expected a number or lo:hi:steps range, got {text!r}"
+        ) from None
+    if steps > sweep.MAX_POINTS:
+        raise CapacityError(
+            f"sweeps support at most {sweep.MAX_POINTS} points, got {steps} steps"
+        )
+    return tuple(float(x) for x in np.linspace(lo, hi, steps))
+
+
+class _RangeAction(argparse.Action):
+    """Store `_parse_range` of the value.  A malformed value is argparse's
+    usage error; a CapacityError passes through argparse, so `main` reports
+    it in one line like any other CetsError."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            setattr(namespace, self.dest, _parse_range(values))
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
 
 
 def _parse_recover(text: str):
@@ -115,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     point.set_defaults(func=_cmd_point, format=None)  # files need --out-dir
 
     swp = commands.add_parser("sweep", help="sweep a (beta, h) grid")
-    swp.add_argument("--beta", type=_parse_range, required=True,
+    swp.add_argument("--beta", action=_RangeAction, required=True,
                      help="number or lo:hi:steps")
-    swp.add_argument("--h", type=_parse_range, required=True,
+    swp.add_argument("--h", action=_RangeAction, required=True,
                      help="number or lo:hi:steps")
     swp.add_argument("--J", type=float, default=1.0)
     swp.add_argument("--parallel", type=int, default=1, metavar="N",

@@ -19,30 +19,24 @@ is the one `json.dump(indent=2, sort_keys=True)` would write, without
 its pure-Python encoder.
 
 `emit_outputs` spells the row files in N = min(parallelism, usable
-CPUs, chunks) processes: this one and N - 1 forked children.  Each
-claims the next chunk of points from one shared ledger, spells it into
-its own unlinked temporary part per row file and records its claim and
-byte lengths, so this process, which draws the plots first, simply
-claims fewer chunks.  The row files are then the head, every chunk in
-order read from its claimant's part, and the tail.  With one process
-the same claim loop spells every chunk in order, so the bytes are the
-same for any N.
+CPUs, chunks) processes: this one and N - 1 forked children.  Every
+process walks the chunks in order and claims chunk k by creating its
+part `k.<first row format>` in one temporary directory with an exclusive
+create, which fails in every process but one; the claimant writes the
+chunk's rows into its parts, one file per row format.  This process,
+which draws the plots first, simply claims fewer chunks.  The row files
+are then the head, every chunk's part in order, and the tail.  With one
+process the same walk spells every chunk, so the bytes are the same for
+any N.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import mmap
 import os
-import struct
 import tempfile
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
-
-try:
-    import fcntl
-except ImportError:  # such systems have no fork either: one process, no lock
-    fcntl = None
 
 import numpy as np
 
@@ -54,6 +48,10 @@ CSV_HEADER = "beta,h,J,M,C2,C3,S,logZ,provenance"
 
 #: Grid points spelled at a time into a row file.
 _CHUNK = 256
+
+#: Bytes buffered per open row file or part, so that rows, which are
+#: written one at a time, leave in a few large writes.
+_BUFFER = 1 << 16
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _DASHES = {"ideal": "", "simulated-noisy": "6,3", "recovered": "2,3"}
@@ -78,22 +76,24 @@ _QUANTITIES = {
 def write_csv(dataset: sweep_mod.SweepDataset, path, parts=None) -> None:
     """One line per (grid point, provenance stage).
 
-    `parts`, when given, are the grid's chunks of CSV rows in order, each
-    a (binary file, byte length) pair read from the file's position.
+    `parts`, when given, are the paths of the grid's chunks of CSV rows,
+    in order.
     """
     _write_rows(path, CSV_HEADER + "\n", "csv", dataset, parts, "")
 
 
 def _write_rows(path, head: str, fmt: str, dataset, parts, tail: str) -> None:
     """Write head, every point's `fmt` rows and tail to `path`: the rows
-    are read from `parts`, or spelled here over the whole grid."""
-    with open(path, "wb") as fh:
+    are copied from `parts`, or spelled here over the whole grid."""
+    with open(path, "wb", buffering=_BUFFER) as fh:
         fh.write(head.encode())
         if parts is None:
             spell = _row_speller(dataset, (fmt,))
-            fh.writelines(spell(chunk)[0] for chunk in _chunks(dataset))
-        for part, length in parts or ():
-            fh.write(part.read(length))
+            for chunk in _chunks(dataset):
+                spell(chunk, (fh,))
+        for part in parts or ():
+            with open(part, "rb") as src:
+                fh.write(src.read())
         fh.write(tail.encode())
 
 
@@ -201,17 +201,18 @@ def _chunks(dataset: sweep_mod.SweepDataset) -> Iterator[range]:
 
 def _row_speller(
     dataset: sweep_mod.SweepDataset, formats: Sequence[str]
-) -> Callable[[range], list[bytes]]:
-    """A function from a chunk of points to its rows in each of `formats`.
+) -> Callable[[range, Sequence], None]:
+    """A function that writes a chunk of points' rows in each of `formats`
+    into the matching binary file.
 
-    A "csv" text holds one line per (point, provenance stage), each ended
-    by a newline.  A "json" text is the chunk's stretch of the "rows" list
-    of `sweep.json`, each row after its separator, so the stretches of
+    A "csv" file takes one line per (point, provenance stage), each ended
+    by a newline.  A "json" file takes the chunk's stretch of the "rows"
+    list of `sweep.json`, each row after its separator, so the stretches of
     consecutive chunks concatenate.  A chunk's slot matrix is spelled once
     for both: a JSON row fills one template whose slots follow the matrix,
     and a CSV line takes logZ and its stage's M, C2, C3 and S from the
-    same texts.  Every axis value is spelled once, here; what a chunk
-    needs is freed when its call returns.
+    same texts.  Every axis value is spelled once, here; each row is
+    written as it is spelled, so no chunk's text is held whole.
     """
     spec = dataset.spec
     width = len(spec.fields)
@@ -225,6 +226,7 @@ def _row_speller(
     csv_J = f"{float(spec.J)!r},"
     csv_betas = [f"{float(b)!r}," for b in spec.betas]
     csv_fields = [f"{float(h)!r},{csv_J}" for h in spec.fields]
+    provenances = [f"{name}\n" for name in dataset.provenances]
     numbers = ["%s"] * (4 + 2 * len(LABELS))
     stages = [
         _STAGE % (*numbers, _list(["%s"] * 8, 10), json.dumps(name).replace("%", "%%"))
@@ -235,30 +237,23 @@ def _row_speller(
     betas = list(map(json.dumps, spec.betas))
     fields = list(map(json.dumps, spec.fields))
 
-    def spell(chunk: range) -> list[bytes]:
+    def spell(chunk: range, files: Sequence) -> None:
         reprs, jsons = _spell(_slot_matrix(dataset, slice(chunk.start, chunk.stop), readouts))
-        texts = {}
-        if "csv" in formats:
-            cells = reprs[:, csv_slots]
-            heads = [csv_betas[b // width] + csv_fields[b % width] for b in chunk]
-            tails = [f",{z}," for z in cells[:, 0].tolist()]
-            lines = [
-                [
-                    head + ",".join(stats) + tail + provenance + "\n"
-                    for head, stats, tail in zip(
-                        heads, cells[:, 1 + 4 * s : 5 + 4 * s].tolist(), tails
-                    )
-                ]
-                for s, provenance in enumerate(dataset.provenances)
-            ]
-            texts["csv"] = "".join(line for point in zip(*lines) for line in point).encode()
-        if "json" in formats:
-            sep = "\n    " if chunk.start == 0 else ",\n    "
-            texts["json"] = (sep + ",\n    ".join(
-                template % (J, betas[b // width], fields[b % width], *slots)
-                for b, slots in zip(chunk, jsons.tolist())
-            )).encode()
-        return [texts[fmt] for fmt in formats]
+        for fmt, fh in zip(formats, files):
+            if fmt == "csv":
+                for b, cells in zip(chunk, reprs[:, csv_slots].tolist()):
+                    head = csv_betas[b // width] + csv_fields[b % width]
+                    tail = f",{cells[0]},"
+                    fh.write("".join(
+                        head + ",".join(cells[1 + 4 * s : 5 + 4 * s]) + tail + provenance
+                        for s, provenance in enumerate(provenances)
+                    ).encode())
+            else:
+                sep = "\n    " if chunk.start == 0 else ",\n    "
+                for b, slots in zip(chunk, jsons.tolist()):
+                    row = template % (J, betas[b // width], fields[b % width], *slots)
+                    fh.write((sep + row).encode())
+                    sep = ",\n    "
 
     return spell
 
@@ -268,8 +263,8 @@ def write_json(dataset: sweep_mod.SweepDataset, path, parts=None) -> None:
 
     The bytes are those of json.dump(payload, indent=2, sort_keys=True)
     plus a newline, with beta, h and J spelled from the spec's own values.
-    `parts`, when given, are the grid's chunks of JSON rows in order, each
-    a (binary file, byte length) pair read from the file's position.
+    `parts`, when given, are the paths of the grid's chunks of JSON rows,
+    in order.
     """
     spec = json.dumps(_spec_payload(dataset.spec), indent=2, sort_keys=True)
     tail = '\n  ],\n  "spec": ' + spec.replace("\n", "\n  ") + "\n}\n"
@@ -504,82 +499,37 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Ledger:
-    """Which process spells each chunk of the row files, and into what.
+def _spell_unclaimed(
+    parts: str, formats: list[str], chunks: list[range], spell=None
+) -> None:
+    """Claim, in order, each chunk that no process has claimed yet, and
+    write its rows with `spell` into its part per format in `parts`.
 
-    Every process that spells has its own unlinked temporary part per row
-    format in `out_dir`.  One more such file, mapped shared so that forked
-    processes see one table, holds int64s: the next chunk to claim, then
-    per chunk its claimant and the byte length of its text in each format.
-    Between processes the counter is read and advanced under
-    `fcntl.lockf`, which the kernel releases if its holder dies.  Claims
-    only go up, so each part holds its chunks in ascending order.  `stack`
-    closes every file.
+    Chunk k is claimed by creating its part `k.<first format>` with an
+    exclusive create, which succeeds in one process only.  Without `spell`
+    each chunk is claimed and left empty, so that no process spells it.
     """
-
-    def __init__(
-        self, stack: contextlib.ExitStack, out_dir: str, formats: list[str],
-        processes: int, chunks: list[range],
-    ):
-        self.formats = formats
-        self.chunks = chunks
-        self._locked = processes > 1
-        self._width = 1 + len(formats)
-        self.parts = [
-            [stack.enter_context(tempfile.TemporaryFile(dir=out_dir)) for _ in formats]
-            for _ in range(processes)
-        ]
-        table = stack.enter_context(tempfile.TemporaryFile(dir=out_dir))
-        table.truncate(8 * (1 + len(chunks) * self._width))
-        self._fd = table.fileno()
-        self._table = stack.enter_context(mmap.mmap(self._fd, 0))
-
-    def _claim(self) -> int:
-        """The next unclaimed chunk; the counter moves past it."""
-        if self._locked:
-            fcntl.lockf(self._fd, fcntl.LOCK_EX, 8)
+    for k, chunk in enumerate(chunks):
+        paths = [os.path.join(parts, f"{k}.{fmt}") for fmt in formats]
         try:
-            (chunk,) = struct.unpack_from("q", self._table)
-            struct.pack_into("q", self._table, 0, chunk + 1)
-        finally:
-            if self._locked:
-                fcntl.lockf(self._fd, fcntl.LOCK_UN, 8)
-        return chunk
-
-    def spell(self, dataset: sweep_mod.SweepDataset, claimant: int) -> None:
-        """Claim chunks until none is left, appending each one's rows to the
-        claimant's parts and recording its claimant and lengths."""
-        spell = _row_speller(dataset, self.formats)
-        files = self.parts[claimant]
-        while (chunk := self._claim()) < len(self.chunks):
-            texts = spell(self.chunks[chunk])
-            for fh, text in zip(files, texts):
-                fh.write(text)
-            record = 8 * (1 + chunk * self._width)
-            struct.pack_into(f"{self._width}q", self._table, record, claimant, *map(len, texts))
-        for fh in files:
-            fh.flush()
-
-    def segments(self, fmt: str) -> list[tuple]:
-        """Every chunk of `fmt` in order, each a (part, byte length) pair;
-        each part is rewound, as its chunks are read in order."""
-        i = self.formats.index(fmt)
-        files = [parts[i] for parts in self.parts]
-        for fh in files:
-            fh.seek(0)
-        records = struct.unpack_from(f"{len(self.chunks) * self._width}q", self._table, 8)
-        return [
-            (files[records[k]], records[k + 1 + i]) for k in range(0, len(records), self._width)
-        ]
+            claim = open(paths[0], "xb", buffering=_BUFFER)
+        except FileExistsError:
+            continue
+        with claim, contextlib.ExitStack() as stack:
+            if spell is not None:
+                rest = [stack.enter_context(open(p, "wb", buffering=_BUFFER)) for p in paths[1:]]
+                spell(chunk, [claim, *rest])
 
 
-def _row_worker(dataset: sweep_mod.SweepDataset, ledger: _Ledger, claimant: int) -> NoReturn:
-    """`ledger.spell` in a forked process, which it then ends.  It never
+def _row_worker(
+    dataset: sweep_mod.SweepDataset, parts: str, formats: list[str], chunks: list[range]
+) -> NoReturn:
+    """`_spell_unclaimed` in a forked process, which it then ends.  It never
     returns into the caller, flushes no inherited stdio buffer and runs no
     exit hook; it makes no BLAS call."""
     status = 1
     try:
-        ledger.spell(dataset, claimant)
+        _spell_unclaimed(parts, formats, chunks, _row_speller(dataset, formats))
         status = 0
     finally:
         os._exit(status)
@@ -595,8 +545,10 @@ def emit_outputs(
     format once, in the order of its first appearance in `formats`.
 
     The row files are spelled by this process and any forked children,
-    each claiming chunks of points from one ledger: this process draws
-    the plots first and then claims what is left.  Every child is reaped
+    each claiming chunks of points by creating their parts in a temporary
+    directory: this process draws the plots first and then claims what is
+    left.  If this process raises, it first claims every chunk left, so
+    each child stops after its current chunk.  Every child is reaped
     before this returns or raises, and one that failed raises OSError.
     """
     formats = list(dict.fromkeys(formats))
@@ -610,21 +562,25 @@ def emit_outputs(
     if rows and hasattr(os, "fork"):
         processes = min(dataset.spec.parallelism, _usable_cpus(), len(chunks))
     written = {}
-    with contextlib.ExitStack() as stack:
-        ledger = _Ledger(stack, out_dir, rows, processes, chunks) if rows else None
+    scratch = tempfile.TemporaryDirectory(dir=out_dir) if rows else contextlib.nullcontext()
+    with scratch as parts:
         pids = []
         try:
-            for claimant in range(1, processes):
+            for _ in range(1, processes):
                 pid = os.fork()
                 if pid == 0:
-                    _row_worker(dataset, ledger, claimant)
+                    _row_worker(dataset, parts, rows, chunks)
                 pids.append(pid)
             if "svg" in formats:
                 written["svg"] = _plot_files(
                     dataset, plots if plots else default_plots(dataset), out_dir
                 )
             if rows:
-                ledger.spell(dataset, 0)
+                _spell_unclaimed(parts, rows, chunks, _row_speller(dataset, rows))
+        except BaseException:
+            if rows:  # every chunk left is claimed: each child stops after its own
+                _spell_unclaimed(parts, rows, chunks)
+            raise
         finally:
             statuses = [os.waitpid(pid, 0)[1] for pid in pids]
         failed = [os.waitstatus_to_exitcode(status) for status in statuses if status]
@@ -634,6 +590,8 @@ def emit_outputs(
             path = os.path.join(out_dir, f"sweep.{fmt}")
             writer = write_csv if fmt == "csv" else write_json
             # `parts` by keyword: a writer's path is its last positional argument
-            writer(dataset, path, parts=ledger.segments(fmt))
+            writer(dataset, path, parts=[
+                os.path.join(parts, f"{k}.{fmt}") for k in range(len(chunks))
+            ])
             written[fmt] = [path]
     return [path for fmt in formats for path in written[fmt]]

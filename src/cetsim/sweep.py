@@ -23,7 +23,9 @@ from typing import Mapping
 import numpy as np
 
 from . import engine, errors, model, reconstruct, synth
-from .errors import DomainError, IncompleteSetError, NumericError, TopologyError
+from .errors import (
+    CapacityError, DomainError, IncompleteSetError, NumericError, TopologyError,
+)
 from .noise import DecayProfile
 
 PROVENANCE_IDEAL = "ideal"
@@ -32,6 +34,11 @@ PROVENANCE_RECOVERED = "recovered"
 
 #: Output formats, in the order they are written.
 FORMATS = ("csv", "json", "svg")
+
+#: The most grid points one sweep may hold.  A noisy, recovered sweep
+#: peaks at about 1.7 KiB per point (a 230 x 1010 grid at 416 MiB, a
+#: one-point sweep at 32 MiB), so a sweep at this limit stays under 2 GiB.
+MAX_POINTS = 1_000_000
 
 #: The per-stage summary columns of a dataset, in `PointResult` order.
 _SUMMARIES = ("magnetization", "pair_correlation", "triple_correlation", "entropy")
@@ -134,6 +141,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.betas or not self.fields:
             raise DomainError("sweep grids must be non-empty")
+        if len(self.betas) * len(self.fields) > MAX_POINTS:
+            raise CapacityError(
+                f"sweeps support at most {MAX_POINTS} points, got "
+                f"{len(self.betas)} x {len(self.fields)}"
+            )
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise DomainError(f"unknown output format {fmt!r}")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +14,7 @@ from cetsim.errors import NumericError
 from cetsim.model import ModelParams
 from cetsim.noise import DEFAULT_DURATIONS
 from cetsim.reconstruct import LABELS
-from cetsim.sweep import run_point
+from cetsim.sweep import MAX_POINTS, run_point
 from cetsim.synth import parse_circuit
 
 
@@ -306,6 +307,24 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 6
         assert "wrote" in out
+
+    @pytest.mark.parametrize("grid, got", [
+        (["--beta", "0:1:100000000000", "--h", "0"], "100000000000 steps"),
+        (["--beta", "0:1:3000", "--h", "0:1:3000"], "3000 x 3000"),
+    ], ids=["axis", "grid"])
+    def test_oversized_grid_is_capacity_error(self, grid, got, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["sweep", *grid, "--out-dir", str(out_dir)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"error: sweeps support at most {MAX_POINTS} points, got {got}\n"
+        assert peak < 2**20  # nothing the size of an axis or the grid
+        assert not out_dir.exists()
 
     def test_signed_range_value(self, capsys, tmp_path):
         # "--h -3:3:13" (separate tokens) must parse as one range option

@@ -535,7 +535,7 @@ class TestParallelRows:
             out = tmp_path / str(processes)
             emit_outputs(dataset, ["json", "csv"], str(out))
             assert len(forks) == processes - 1
-            # neither the parts nor the ledger
+            # neither a part nor its temporary directory
             assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.json"]
 
     def test_own_spelling_fault_reaps_children_and_leaves_no_file(
@@ -588,15 +588,63 @@ class TestParallelRows:
         chunks = -(-len(dataset.log_partition) // 2)
         assert len(spelled_here) < chunks - len(spelled_here)
 
+    def test_plot_fault_stops_the_children(self, forks, many_cpus, monkeypatch, tmp_path):
+        # before it reaps, the calling process claims every chunk left, so
+        # each child stops after the chunk it is spelling when a plot fails
+        monkeypatch.setattr(outputs, "_CHUNK", 1)
+        log = tmp_path / "spelled"
+        real_row_speller = outputs._row_speller
+        real_plot_files = outputs._plot_files
+
+        def logged_speller(dataset, formats):
+            spell = real_row_speller(dataset, formats)
+
+            def logged(chunk, files):
+                time.sleep(0.02)  # 48 chunks take a child about 1 s
+                spell(chunk, files)
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+            return logged
+
+        before = []
+
+        def plots_once_a_child_spells(*args):
+            deadline = time.monotonic() + 10
+            while not log.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            before.extend(log.read_text().split() if log.exists() else [])
+            return real_plot_files(*args)
+
+        monkeypatch.setattr(outputs, "_row_speller", logged_speller)
+        monkeypatch.setattr(outputs, "_plot_files", plots_once_a_child_spells)
+        dataset = run_sweep(SweepSpec(betas=(1.0, 2.0), fields=tuple(np.linspace(-2, 2, 24))))
+        column = dataset.magnetization.copy()
+        column[0, 0] = math.nan
+        dataset = dataclasses.replace(
+            dataset, magnetization=column, spec=with_parallelism(dataset.spec, 3)
+        )
+        with pytest.raises(NumericError, match="non-finite M"):
+            emit_outputs(dataset, ["csv", "json", "svg"], str(tmp_path / "out"))
+        assert len(forks) == 2
+        assert before  # a child was spelling when the plot failed
+        after = log.read_text().split()
+        for pid in forks:
+            assert after.count(str(pid)) - before.count(str(pid)) <= 2
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_claims_never_repeat_across_processes(self, forks, many_cpus, monkeypatch, tmp_path):
         # six processes on any number of cores race for 20,000 one-point chunks,
-        # each spelled as its own index; a lost update of the claim counter
-        # hands a chunk out twice and shifts every later chunk of a part
+        # each spelled as its own index; a chunk missed or written twice into
+        # its part, or parts joined out of order, changes the file
         monkeypatch.setattr(outputs, "_CHUNK", 1)
-        monkeypatch.setattr(
-            outputs, "_row_speller",
-            lambda dataset, formats: lambda chunk: [b"%d\n" % chunk.start] * len(formats),
-        )
+
+        def index_speller(dataset, formats):
+            def spell(chunk, files):
+                for fh in files:
+                    fh.write(b"%d\n" % chunk.start)
+            return spell
+
+        monkeypatch.setattr(outputs, "_row_speller", index_speller)
         dataset = run_sweep(SweepSpec(betas=(1.0,), fields=tuple(np.linspace(-1, 1, 20000))))
         dataset = dataclasses.replace(dataset, spec=with_parallelism(dataset.spec, 6))
         emit_outputs(dataset, ["csv"], str(tmp_path))
