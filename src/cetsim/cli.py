@@ -13,6 +13,7 @@ failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -36,9 +37,9 @@ _CONFIG_KEYS = {
 }
 
 
-def _parse_range(text: str) -> tuple[float, ...]:
-    """Scalar "x" or inclusive range "lo:hi:steps" of at most
-    `sweep.MAX_POINTS` steps."""
+def _parse_range(text: str, name: str) -> tuple[float, ...]:
+    """Scalar "x" or inclusive range "lo:hi:steps" of the flag --`name`, with
+    at most `sweep.MAX_POINTS` steps and a finite lo, hi and hi - lo."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -55,17 +56,22 @@ def _parse_range(text: str) -> tuple[float, ...]:
         raise CapacityError(
             f"sweeps support at most {sweep.MAX_POINTS} points, got {steps} steps"
         )
-    return tuple(float(x) for x in np.linspace(lo, hi, steps))
+    for end in (lo, hi):
+        if not np.isfinite(end):
+            raise DomainError(f"{name} must be finite, got {end!r}")
+    if not np.isfinite(hi - lo):
+        raise DomainError(f"--{name} {text} spans more than a float holds")
+    with np.errstate(over="ignore"):  # at most the last point, which linspace sets to hi
+        return tuple(float(x) for x in np.linspace(lo, hi, steps))
 
 
 class _RangeAction(argparse.Action):
     """Store `_parse_range` of the value.  A malformed value is argparse's
-    usage error; a CapacityError passes through argparse, so `main` reports
-    it in one line like any other CetsError."""
+    usage error; a CetsError passes through argparse to `main`'s one line."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         try:
-            setattr(namespace, self.dest, _parse_range(values))
+            setattr(namespace, self.dest, _parse_range(values, self.dest))
         except argparse.ArgumentTypeError as exc:
             raise argparse.ArgumentError(self, str(exc)) from None
 
@@ -208,13 +214,13 @@ def _print_row(row: sweep.SweepRow) -> None:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    model.ModelParams(J=args.J, h=args.h, beta=args.beta)  # a bad --beta is reported first
-    if args.seed is not None and args.seed < 0:
-        raise DomainError(f"seed must be >= 0, got {args.seed}")
-    spec = sweep.SweepSpec(
-        betas=(args.beta,), fields=(args.h,), J=args.J, noise=_noise_options(args),
+    spec = sweep.SweepSpec(  # a bad --beta is reported first
+        betas=(args.beta,), fields=(args.h,), J=args.J,
         formats=("csv",) if args.format is None else args.format,
     )
+    if args.seed is not None and args.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {args.seed}")
+    spec = dataclasses.replace(spec, noise=_noise_options(args))
     # an unwritable destination fails before the point is computed
     if args.out_dir is not None:
         sweep.check_writable(args.out_dir)
@@ -230,20 +236,9 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = args.out_dir if args.out_dir is not None else "."
-    try:
-        noise_options = _noise_options(args)
-    except (CetsError, OSError, json.JSONDecodeError):
-        # a bad grid value is reported first, as `point` reports a bad --beta
-        sweep.SweepSpec(betas=args.beta, fields=args.h, J=args.J)
-        raise
-    spec = sweep.SweepSpec(
-        betas=args.beta,
-        fields=args.h,
-        J=args.J,
-        noise=noise_options,
-        formats=args.format,
-        parallelism=args.parallel,
-    )
+    spec = sweep.SweepSpec(betas=args.beta, fields=args.h, J=args.J)  # grid errors first
+    spec = dataclasses.replace(spec, noise=_noise_options(args), formats=args.format,
+                               parallelism=args.parallel)
     plots = None if args.plot is None else args.plot.split(",")
     for token in plots or ():
         outputs.parse_plot_token(token)
@@ -339,13 +334,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     so the flag's own type parses and checks it; null is accepted only
     where the flag's default is None.
     """
-    if "--config" not in argv:
+    idx = next((i for i, t in enumerate(argv) if t.partition("=")[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    _, joined, path = argv[idx].partition("=")  # "--config=PATH" or "--config PATH"
+    rest = argv[idx + 1 :]
+    if not joined and rest:
+        path, rest = rest[0], rest[1:]
+    elif not path:
         raise DomainError("--config requires a path")
-    path = argv[idx + 1]
-    argv = argv[:idx] + argv[idx + 2 :]
+    argv = argv[:idx] + rest
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):

@@ -140,14 +140,13 @@ def _level_counts(n: int, bonds: tuple[tuple[int, int], ...]) -> tuple[np.ndarra
     return a, b
 
 
-def gibbs_tables(params: Sequence[ModelParams]) -> tuple[np.ndarray, ...]:
-    """Energies and Gibbs weights, both (B, 2**n), and log Z (B,) of B points
-    of one topology and size; each row of weights must sum to one."""
-    first = params[0]
-    if any((p.topology, p.n) != (first.topology, first.n) for p in params):
-        raise DomainError("batched points must share topology and size")
-    a, b = _level_counts(first.n, first.bonds())
-    J, h, beta = np.array([(p.J, p.h, p.beta) for p in params]).T[..., None]
+def gibbs_tables(params: ModelParams, beta: Sequence[float],
+                 h: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """Energies and Gibbs weights, both (B, 2**n), and log Z (B,) of B points at
+    the (B,) `beta` and `h`, with `params`' J, topology and size (not its beta
+    and h); each row of weights must sum to one."""
+    a, b = _level_counts(params.n, params.bonds())
+    J, beta, h = params.J, np.array(beta, float)[:, None], np.array(h, float)[:, None]
     e = J * a + h * b
     # Weights come from the differences J da + h db to the ground level.  On
     # the triangle da is 0 or +-4 and db 0, +-2, +-4, or +-6 when da = 0, so
@@ -172,7 +171,7 @@ def gibbs_tables(params: Sequence[ModelParams]) -> tuple[np.ndarray, ...]:
 
 def gibbs_distribution(params: ModelParams) -> GibbsTable:
     """Exact Gibbs weights exp(-beta * E_k) / Z for every configuration."""
-    e, weights, log_z = gibbs_tables([params])
+    e, weights, log_z = gibbs_tables(params, [params.beta], [params.h])
     return GibbsTable(params, e[0], weights[0], float(log_z[0]))
 
 

@@ -1,8 +1,8 @@
 """Phase-diagram sweeps: synthesise, simulate, measure, reconstruct.
 
 One array pipeline, `run_sweep`, serves every point: a `SweepSpec` names
-a batch and forms its grid's triangle points, and `run_sweep` simulates
-them in one `engine.run_circuits` pass, one circuit over B rows of
+a batch by its grid's axes, and `run_sweep` simulates the grid's triangle
+points in one `engine.run_circuits` pass, one circuit over B rows of
 angles.  `run_point` is the batch of one.  `_stages` stacks the provenance
 stages (ideal, noisy, recovered) along a leading axis and reconstructs
 them all in one call.
@@ -13,11 +13,11 @@ A `SweepDataset` keeps the result as (stage, point) columns; `SweepRow`,
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -121,13 +121,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A full sweep request.
-
-    `points` holds the grid's triangle `ModelParams` in row-major (beta
-    outer, h inner) order.  They are formed here, once, so a bad grid
-    value is reported when the spec is made, before any output is touched.
-    `parallelism` is the number of processes that may write the row files
-    (see `outputs.emit_outputs`); it changes no byte of any output.
+    """A full sweep request: the axes of a grid of triangles, whose points run
+    in row-major (beta outer, h inner) order.  Each point is checked as
+    `model.ModelParams` checks it when the spec is made, before any output is
+    touched.  `parallelism` is the number of processes that may write the row
+    files (see `outputs.emit_outputs`); it changes no byte of any output.
     """
 
     betas: tuple[float, ...]
@@ -136,7 +134,6 @@ class SweepSpec:
     noise: NoiseOptions | None = None
     formats: tuple[str, ...] = ("csv",)
     parallelism: int = 1
-    points: tuple[model.ModelParams, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.betas or not self.fields:
@@ -149,15 +146,22 @@ class SweepSpec:
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise DomainError(f"unknown output format {fmt!r}")
-        points = [model.ModelParams(J=self.J, h=h, beta=beta)
-                  for beta in self.betas for h in self.fields]
-        object.__setattr__(self, "points", tuple(points))
-        _check_parallelism(self.parallelism)
-
-
-def _check_parallelism(parallelism: int) -> None:
-    if parallelism < 1:
-        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
+        # beta * (|J| + |h|) * n grows with |h| under rounding, so every beta at
+        # the widest h and every h (a NaN that max skips too) at the first beta
+        # check every point; on a failure, a row-major scan names the first bad one.
+        widest = max(self.fields, key=abs)
+        try:
+            for beta in self.betas:
+                model.ModelParams(J=self.J, h=widest, beta=beta)
+            for h in self.fields:
+                model.ModelParams(J=self.J, h=h, beta=self.betas[0])
+        except DomainError:
+            for beta in self.betas:
+                for h in self.fields:
+                    model.ModelParams(J=self.J, h=h, beta=beta)
+            raise  # not reached: the point that failed is on the grid
+        if self.parallelism < 1:
+            raise DomainError(f"parallelism must be >= 1, got {self.parallelism}")
 
 
 @dataclass(frozen=True)
@@ -300,17 +304,19 @@ def check_writable(out_dir: str) -> None:
 
 def run_sweep(spec: SweepSpec, shots: int | None = None,
               seed: int | None = None) -> SweepDataset:
-    """Run every triangle point of `spec`'s grid, in row-major order, as one
-    batch: one circuit, built for the first point, over each point's angles,
-    all read off one `model.gibbs_tables` call.
+    """Run every triangle point of `spec`'s grid as one batch: one circuit,
+    built for the first point, over each point's angles, all read off one
+    `model.gibbs_tables` call on the grid's row-major beta and h columns.
 
     With `shots` the ideal readouts are finite-sample estimates.  Point b's
     readout at position i of LABELS draws from the stream
     `seed + b * len(LABELS) + i`, so no two readouts of a batch share one.
     """
-    weights, log_z = model.gibbs_tables(spec.points)[1:]
-    angles = synth.gibbs_angles(weights, spec.points[0]).tolist()
-    circuit = synth.build_circuit(spec.points[0], angles=angles[0])
+    first = model.ModelParams(J=spec.J, h=spec.fields[0], beta=spec.betas[0])
+    betas = [beta for beta in spec.betas for _ in spec.fields]
+    weights, log_z = model.gibbs_tables(first, betas, spec.fields * len(spec.betas))[1:]
+    angles = synth.gibbs_angles(weights, first).tolist()
+    circuit = synth.build_circuit(first, angles=angles[0])
     populations = abs(engine.run_circuits(circuit, angles)) ** 2
     errors.check_unit(np.sqrt(populations.sum(axis=1)), 1e-9, NumericError,
                       "prepared state norm is")
@@ -327,9 +333,8 @@ def magnetization_slice(dataset: SweepDataset, beta: float) -> np.ndarray:
 
 
 def with_parallelism(spec: SweepSpec, parallelism: int) -> SweepSpec:
-    """`spec` with `parallelism` >= 1 processes for its row files; `spec`
-    itself when the count is unchanged.  The copy shares `spec`'s points,
-    which the count cannot change.
+    """`spec` with `parallelism` >= 1 processes for its row files, checked as
+    a new spec is; `spec` itself when the count is unchanged.
 
     The points are always simulated as one batch in this process.  This
     process and up to `parallelism` - 1 forked children, no more than the
@@ -338,7 +343,4 @@ def with_parallelism(spec: SweepSpec, parallelism: int) -> SweepSpec:
     """
     if parallelism == spec.parallelism:
         return spec
-    _check_parallelism(parallelism)
-    spec = copy.copy(spec)  # a copy runs no __post_init__
-    object.__setattr__(spec, "parallelism", parallelism)
-    return spec
+    return dataclasses.replace(spec, parallelism=parallelism)

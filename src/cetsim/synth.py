@@ -164,7 +164,8 @@ def rotation_angles(params: model.ModelParams) -> list[float]:
     """The rotation angles of a point's preparation circuit, in gate order."""
     if params.n > MAX_CHAIN:
         raise CapacityError(f"chains support n <= {MAX_CHAIN}, got {params.n}")
-    return gibbs_angles(model.gibbs_tables([params])[1], params)[0].tolist()
+    weights = model.gibbs_tables(params, [params.beta], [params.h])[1]
+    return gibbs_angles(weights, params)[0].tolist()
 
 
 @lru_cache(maxsize=64)

@@ -326,6 +326,35 @@ class TestSweep:
         assert peak < 2**20  # nothing the size of an axis or the grid
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--beta", "0:1e400:3", "--h", "0"], "beta must be finite, got inf"),
+        (["--beta", "nan:1:3", "--h", "0"], "beta must be finite, got nan"),
+        (["--beta", "1", "--h=-inf:0:2"], "h must be finite, got -inf"),
+        (["--beta", "inf", "--h", "0"], "beta must be finite, got inf"),
+        (["--beta", "1", "--h", "-1e308:1e308:3"],
+         "--h -1e308:1e308:3 spans more than a float holds"),
+    ], ids=["infinite-end", "nan-end", "negative-infinite-end", "scalar", "span"])
+    def test_non_finite_range_is_one_line(self, grid, message, capsys, tmp_path):
+        # one line naming the value given, not numpy's warning and a NaN
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["sweep", *grid, "--out-dir", str(out_dir)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_widest_finite_range_runs_without_warning(self, capsys, tmp_path):
+        # np.linspace's last step overflows before the point is set to hi
+        code, _, err = run_cli(
+            ["sweep", "--beta", "0:1.7976931348623157e308:4", "--h", "0", "--J", "0",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == cli.EXIT_OK
+        assert err == ""
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows][-1] == "1.7976931348623157e+308"
+
     def test_signed_range_value(self, capsys, tmp_path):
         # "--h -3:3:13" (separate tokens) must parse as one range option
         code, _, _ = run_cli(
@@ -652,6 +681,24 @@ class TestConfig:
         )
         assert code == cli.EXIT_OK
         assert "J=3" in out
+
+    def test_joined_config_flag_reads_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"J": 2.5}))
+        argv = ["point", "--beta", "1", "--h", "0"]
+        spaced = run_cli(["--config", str(cfg), *argv], capsys)
+        joined = run_cli([f"--config={cfg}", *argv], capsys)
+        assert joined == spaced
+        assert spaced[0] == cli.EXIT_OK
+        assert "J=2.5" in spaced[1]
+
+    @pytest.mark.parametrize("argv", [["--config="], ["point", "--config"]],
+                             ids=["joined", "last"])
+    def test_config_without_path_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == "error: --config requires a path\n"
 
     def test_unknown_key_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

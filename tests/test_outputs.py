@@ -609,10 +609,14 @@ class TestParallelRows:
         before = []
 
         def plots_once_a_child_spells(*args):
+            # the log exists from a child's open, before its first line is
+            # written, so wait for a whole line
             deadline = time.monotonic() + 10
-            while not log.exists() and time.monotonic() < deadline:
+            text = ""
+            while "\n" not in text and time.monotonic() < deadline:
                 time.sleep(0.001)
-            before.extend(log.read_text().split() if log.exists() else [])
+                text = log.read_text() if log.exists() else ""
+            before.extend(text[: text.rfind("\n") + 1].split())
             return real_plot_files(*args)
 
         monkeypatch.setattr(outputs, "_row_speller", logged_speller)

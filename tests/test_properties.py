@@ -4,8 +4,10 @@ Every strategy is derandomized and the example database is off, so a
 run is reproducible and the whole module stays within a few seconds.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cetsim.engine import run_circuit, run_circuits
@@ -93,7 +95,8 @@ class TestSignsEqualIndexBits:
             params.J * sum(z[i] * z[j] for i, j in params.bonds()) + params.h * sum(z)
             for z in spins
         ]
-        assert gibbs_tables([params])[0][0].tobytes() == np.array(energies).tobytes()
+        e = gibbs_tables(params, [params.beta], [params.h])[0][0]
+        assert e.tobytes() == np.array(energies).tobytes()
 
         sites = [i for i in range(n) if mask >> i & 1]
         signs = []
@@ -139,6 +142,56 @@ class TestSweepEqualsPoint:
         assert len(dataset.rows) == len(points)
         for row, (beta, h) in zip(dataset.rows, points):
             _assert_rows_close(row, run_point(ModelParams(J=J, h=h, beta=beta), noise))
+
+
+_ORDINARY = st.sampled_from((0.0, 1.0, -1.0, 3.5))
+#: Values at the edges of the ModelParams guard, for beta, h and J alike
+_EDGE = st.sampled_from((math.nan, math.inf, -math.inf, 1e308, 5e307, 1e300,
+                         -1e300, 1e-300, -0.0))
+
+
+@st.composite
+def _edge_grids(draw):
+    """(betas, fields, J) of ordinary values with one or two edge values put
+    in, each at any place of an axis or as J, so that one bad value among
+    good ones is a common draw."""
+    betas, fields = (draw(st.lists(_ORDINARY, min_size=1, max_size=3)) for _ in "bh")
+    J = draw(_ORDINARY)
+    for _ in range(draw(st.integers(1, 2))):
+        axis = draw(st.sampled_from((betas, fields, None)))
+        if axis is None:
+            J = draw(_EDGE)
+        else:
+            axis.insert(len(axis) - draw(st.integers(0, len(axis))), draw(_EDGE))
+    return tuple(betas), tuple(fields), J
+
+
+def _row_major_error(betas, fields, J):
+    """(type, text) of what ModelParams raises at the grid's first bad point,
+    scanned beta outer, h inner; None when every point is admitted."""
+    for beta in betas:
+        for h in fields:
+            try:
+                ModelParams(J=J, h=h, beta=beta)
+            except DomainError as exc:
+                return type(exc), str(exc)
+    return None
+
+
+class TestSweepSpecGuard:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_edge_grids())
+    @example(((1.0,), (1.0, math.nan), 1.0))  # a NaN h that max(fields, key=abs) skips
+    @example(((1e300,), (0.0, 1e300, 5e307), 1.0))  # overflows first at h=1e300
+    def test_raises_the_row_major_scans_error(self, grid):
+        betas, fields, J = grid
+        try:
+            SweepSpec(betas=betas, fields=fields, J=J)
+        except DomainError as exc:
+            raised = type(exc), str(exc)
+        else:
+            raised = None
+        assert raised == _row_major_error(betas, fields, J)
 
 
 class TestAutoRecoveryIsBounded:

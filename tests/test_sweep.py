@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,13 +310,26 @@ class TestSweepSpec:
         assert spec.parallelism == 1
         four = with_parallelism(spec, 4)
         assert four.parallelism == 4
-        assert four.points is spec.points  # not formed again
+        assert four == dataclasses.replace(spec, parallelism=4)
         assert with_parallelism(four, 4) is four
         assert spec.parallelism == 1
         with pytest.raises(DomainError, match="parallelism must be >= 1, got 0"):
             with_parallelism(four, 0)
         with pytest.raises(DomainError, match="parallelism must be >= 1, got 0"):
             SweepSpec(betas=(1.0,), fields=(1.0,), parallelism=0)
+
+    def test_largest_grid_holds_only_its_axes(self):
+        betas = tuple(np.linspace(0.0, 11.0, 1000).tolist())
+        fields = tuple(np.linspace(-5.0, 5.0, 1000).tolist())
+        assert len(betas) * len(fields) == sweep_mod.MAX_POINTS
+        tracemalloc.start()
+        try:
+            spec = SweepSpec(betas=betas, fields=fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # no object per point
+        assert spec.betas is betas and spec.fields is fields
 
     def test_bad_format(self):
         with pytest.raises(DomainError):

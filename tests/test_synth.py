@@ -78,16 +78,21 @@ class TestGibbsTree:
         assert probabilities == pytest.approx([0.0] * 7 + [1.0], abs=1e-30)
 
     def test_batch_rows_are_single_point_calls(self):
-        points = [params(b, h, J) for b in (0.0, 0.7, 1e8) for h in (-2.0, 0.6)
-                  for J in (0.3, -1.0)]
-        batch = gibbs_angles(gibbs_tables(points)[1], points[0])
-        assert batch.tolist() == [rotation_angles(p) for p in points]
+        for J in (0.3, -1.0):  # a batch shares one J
+            points = [params(b, h, J) for b in (0.0, 0.7, 1e8) for h in (-2.0, 0.6)]
+            weights = gibbs_tables(points[0], [p.beta for p in points],
+                                   [p.h for p in points])[1]
+            batch = gibbs_angles(weights, points[0])
+            assert batch.tolist() == [rotation_angles(p) for p in points]
 
     def test_chain_batch_rows_are_single_point_calls(self):
-        points = [ModelParams(J=J, h=h, beta=b, n=5, topology=CHAIN)
-                  for b in (0.0, 0.7, 1e12) for h in (-2.0, 0.6) for J in (0.3, -1.0)]
-        batch = gibbs_angles(gibbs_tables(points)[1], points[0])
-        assert batch.tolist() == [rotation_angles(p) for p in points]
+        for J in (0.3, -1.0):  # a batch shares one J
+            points = [ModelParams(J=J, h=h, beta=b, n=5, topology=CHAIN)
+                      for b in (0.0, 0.7, 1e12) for h in (-2.0, 0.6)]
+            weights = gibbs_tables(points[0], [p.beta for p in points],
+                                   [p.h for p in points])[1]
+            batch = gibbs_angles(weights, points[0])
+            assert batch.tolist() == [rotation_angles(p) for p in points]
 
 
 class TestAngles:
