@@ -22,7 +22,6 @@ from .model import (
     TRIANGLE,
     GibbsTable,
     ModelParams,
-    cets_amplitudes,
     exact_entropy,
     exact_expectation,
     gibbs_distribution,
@@ -108,7 +107,6 @@ __all__ = [
     "build_chain_circuit",
     "build_circuit",
     "build_triangle_circuit",
-    "cets_amplitudes",
     "cets_angles",
     "default_decay_table",
     "depolarize",

@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -371,23 +370,20 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     return argv
 
 
-# flags whose values may start with a minus sign (negative h, ranges, ...)
+# flags whose values may start with a minus sign (negative h, ranges, -inf, ...)
 _SIGNED_FLAGS = {"--h", "--beta", "--J"}
-_SIGNED_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(:.*)?$")
 
 
 def _merge_signed_values(argv: list[str]) -> list[str]:
-    """Rewrite ["--h", "-5:5:101"] as ["--h=-5:5:101"] so argparse accepts it."""
+    """Rewrite ["--h", "-5:5:101"] as ["--h=-5:5:101"] so argparse accepts it; any
+    value led by one "-" merges, and float() or _parse_range then reads it."""
     merged = []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if (
-            token in _SIGNED_FLAGS
-            and i + 1 < len(argv)
-            and _SIGNED_VALUE.match(argv[i + 1])
-        ):
-            merged.append(f"{token}={argv[i + 1]}")
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if token in _SIGNED_FLAGS and value[:1] == "-" and value[:2] != "--":
+            merged.append(f"{token}={value}")
             i += 2
         else:
             merged.append(token)

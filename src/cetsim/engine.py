@@ -6,7 +6,8 @@ the spin string b_1 b_2 b_3.
 
 One gate kernel acts in place, through views, on B registers held as
 a (2, ..., 2, B) array whose axis q is qubit q.  `run_circuits` runs one
-circuit over B rows of angles at once; `run_circuit` is its B = 1 call.
+circuit over a (B, R) array of angles, one row of R rotation angles per
+register, at once; `run_circuit` is its B = 1 call.
 
 Readout of an operator U on a prepared state |psi> goes through an
 ancilla probe: the register is driven to (|0>|psi> + |1> U|psi>)/sqrt(2)
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -90,26 +90,25 @@ def _apply(amps: np.ndarray, gate: synth.Gate, cos=None, sin=None) -> None:
         np.negative(a1, out=a1)
 
 
-def run_circuits(
-    circuit: synth.Circuit, angles: Sequence[Sequence[float]]
-) -> np.ndarray:
-    """Execute one circuit on |0...0> over B rows of angles; (B, 2**n) amplitudes.
+def run_circuits(circuit: synth.Circuit, angles) -> np.ndarray:
+    """Execute one circuit on |0...0> over (B, R) angles; (B, 2**n) amplitudes.
 
-    Row b holds one angle per rotation gate, in gate order, for register
-    b; the gates' own angles are not read.
+    Row b of the float array np.asarray reads from `angles` holds one angle
+    per rotation gate, in gate order, for register b; the gates' own angles
+    are not read.  B >= 1 and R is the circuit's rotation count.
     """
     width = len(circuit.angles)
-    if len(angles) == 0 or any(len(row) != width for row in angles):
+    try:
+        angles = np.asarray(angles, dtype=float)
+    except ValueError:  # ragged rows
+        angles = np.empty(0)
+    if angles.ndim != 2 or not len(angles) or angles.shape[1] != width:
         raise DomainError(f"angles must be one or more rows of {width} values")
     n, batch = circuit.qubit_count, len(angles)
     amps = np.zeros((2,) * n + (batch,), dtype=complex)
     amps[(0,) * n] = 1.0
-    # math.cos/sin, not numpy's, so the amplitudes follow the libm values of
-    # the exported angles; `turns` yields each rotation gate's (B,) row
-    flat = [theta for row in angles for theta in row]
-    cos = np.fromiter(map(math.cos, flat), complex, len(flat))
-    sin = np.fromiter(map(math.sin, flat), complex, len(flat))
-    turns = zip(cos.reshape(batch, width).T, sin.reshape(batch, width).T)
+    # each rotation gate's (B,) row, complex like the registers it scales
+    turns = zip(np.cos(angles.T).astype(complex), np.sin(angles.T).astype(complex))
     for gate in circuit.gates:
         _apply(amps, gate, *(next(turns) if gate.kind == "rot" else ()))
     return amps.reshape(-1, batch).T

@@ -175,11 +175,6 @@ def gibbs_distribution(params: ModelParams) -> GibbsTable:
     return GibbsTable(params, e[0], weights[0], float(log_z[0]))
 
 
-def cets_amplitudes(params: ModelParams) -> np.ndarray:
-    """Real amplitudes sqrt(p_k) of the coherent encoding of the Gibbs state."""
-    return np.sqrt(gibbs_distribution(params).weights)
-
-
 def exact_expectation(params: ModelParams, op) -> complex:
     """Thermal expectation of a Pauli string in the coherent encoding.
 

@@ -315,7 +315,7 @@ def run_sweep(spec: SweepSpec, shots: int | None = None,
     first = model.ModelParams(J=spec.J, h=spec.fields[0], beta=spec.betas[0])
     betas = [beta for beta in spec.betas for _ in spec.fields]
     weights, log_z = model.gibbs_tables(first, betas, spec.fields * len(spec.betas))[1:]
-    angles = synth.gibbs_angles(weights, first).tolist()
+    angles = synth.gibbs_angles(weights, first)
     circuit = synth.build_circuit(first, angles=angles[0])
     populations = abs(engine.run_circuits(circuit, angles)) ** 2
     errors.check_unit(np.sqrt(populations.sum(axis=1)), 1e-9, NumericError,

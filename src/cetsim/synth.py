@@ -19,18 +19,24 @@ as controls: 7 rotations for the triangle, 2n - 1 for a chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import model
-from .errors import CapacityError, DomainError, TopologyError
+from .errors import CapacityError, CetsError, DomainError, TopologyError
 
 #: Largest open chain the synthesiser accepts (state vectors stay < 32 MiB).
 MAX_CHAIN = 20
 
 _FORMAT_HEADER = "#cets v1"
+
+#: Each gate kind's .cets keyword and the Gate field its line ends with,
+#: spelled `field=value` after the target and controls (None: no field).
+_GATE_KINDS = {"rot": ("ROT", "theta"), "h": ("H", None), "pauli": ("PAULI", "letter")}
+_GATE_OF_KEYWORD = {kw: (kind, field) for kind, (kw, field) in _GATE_KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,7 @@ class Gate:
     letter: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rot", "h", "pauli"):
+        if self.kind not in _GATE_KINDS:
             raise DomainError(f"unknown gate kind {self.kind!r}")
         if self.target < 0 or any(c < 0 for c in self.controls):
             raise DomainError("qubit indices must be non-negative")
@@ -125,8 +131,8 @@ class Gate:
             raise DomainError(f"target {self.target} also listed as control")
         if len(set(self.controls)) != len(self.controls):
             raise DomainError("duplicate control qubits")
-        if self.kind == "rot" and self.theta is None:
-            raise DomainError("rot gate requires theta")
+        if self.kind == "rot" and (self.theta is None or not math.isfinite(self.theta)):
+            raise DomainError(f"rot gate requires a finite theta, got {self.theta!r}")
         if self.kind == "pauli" and self.letter not in ("X", "Y", "Z"):
             raise DomainError(f"pauli gate requires letter X/Y/Z, got {self.letter!r}")
 
@@ -251,18 +257,13 @@ def export_circuit(circuit: Circuit) -> str:
         ]
     lines.append(" ".join(meta))
     for gate in circuit.gates:
+        keyword, field = _GATE_KINDS[gate.kind]
         controls = ",".join(str(c) for c in gate.controls)
-        if gate.kind == "rot":
-            lines.append(
-                f"ROT target={gate.target} controls=[{controls}] "
-                f"theta={_format_float(gate.theta)}"
-            )
-        elif gate.kind == "h":
-            lines.append(f"H target={gate.target} controls=[{controls}]")
-        else:
-            lines.append(
-                f"PAULI target={gate.target} controls=[{controls}] letter={gate.letter}"
-            )
+        line = f"{keyword} target={gate.target} controls=[{controls}]"
+        if field is not None:
+            value = getattr(gate, field)
+            line += f" {field}={_format_float(value) if field == 'theta' else value}"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -277,49 +278,48 @@ def _parse_fields(parts: list[str], line_no: int) -> dict[str, str]:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the .cets format produced by export_circuit."""
+    """Parse the .cets format produced by export_circuit; a missing field or a
+    value that does not parse is a DomainError naming its line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _FORMAT_HEADER:
         raise DomainError(f"missing {_FORMAT_HEADER!r} header")
     if len(lines) < 2:
         raise DomainError("missing metadata line")
-    meta = _parse_fields(lines[1].split(), line_no=2)
-    if "qubits" not in meta:
-        raise DomainError("metadata line lacks qubits=")
-    qubit_count = int(meta["qubits"])
-    params = None
-    include_probe = False
-    if "topology" in meta:
-        params = model.ModelParams(
-            J=float(meta["J"]),
-            h=float(meta["h"]),
-            beta=float(meta["beta"]),
-            n=int(meta["n"]),
-            topology=meta["topology"],
-        )
-        include_probe = meta.get("probe") == "true"
-    gates: list[Gate] = []
-    for line_no, line in enumerate(lines[2:], start=3):
-        parts = line.split()
-        kind = parts[0]
-        fields = _parse_fields(parts[1:], line_no)
-        raw = fields.get("controls", "[]").strip("[]")
-        controls = tuple(int(c) for c in raw.split(",")) if raw else ()
-        target = int(fields["target"])
-        if kind == "ROT":
-            gates.append(
-                Gate(kind="rot", target=target, controls=controls,
-                     theta=float(fields["theta"]))
+    line_no = 2
+    try:
+        meta = _parse_fields(lines[1].split(), line_no)
+        if "qubits" not in meta:
+            raise DomainError("metadata line lacks qubits=")
+        qubit_count = int(meta["qubits"])
+        params = None
+        include_probe = False
+        if "topology" in meta:
+            params = model.ModelParams(
+                J=float(meta["J"]),
+                h=float(meta["h"]),
+                beta=float(meta["beta"]),
+                n=int(meta["n"]),
+                topology=meta["topology"],
             )
-        elif kind == "H":
-            gates.append(Gate(kind="h", target=target, controls=controls))
-        elif kind == "PAULI":
-            gates.append(
-                Gate(kind="pauli", target=target, controls=controls,
-                     letter=fields["letter"])
-            )
-        else:
-            raise DomainError(f"unknown gate {kind!r} on line {line_no}")
+            include_probe = meta.get("probe") == "true"
+        gates: list[Gate] = []
+        for line_no, line in enumerate(lines[2:], start=3):
+            keyword, *parts = line.split()
+            if keyword not in _GATE_OF_KEYWORD:
+                raise DomainError(f"unknown gate {keyword!r} on line {line_no}")
+            kind, field = _GATE_OF_KEYWORD[keyword]
+            fields = _parse_fields(parts, line_no)
+            raw = fields.get("controls", "[]").strip("[]")
+            controls = tuple(int(c) for c in raw.split(",")) if raw else ()
+            ending = {}
+            if field is not None:
+                ending[field] = float(fields[field]) if field == "theta" else fields[field]
+            gates.append(Gate(kind=kind, target=int(fields["target"]),
+                              controls=controls, **ending))
+    except CetsError:
+        raise
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"malformed line {line_no}: {exc!r}") from None
     return Circuit(
         qubit_count=qubit_count,
         gates=tuple(gates),

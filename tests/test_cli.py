@@ -57,6 +57,27 @@ class TestPoint:
             assert code == cli.EXIT_OK
             assert shown in out
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [(["point", "--h", "-inf"], "-inf"), (["point", "--h", "-nan"], "nan"),
+         (["sweep", "--h", "-inf:0:2"], "-inf")],
+    )
+    def test_negative_non_finite_values_reach_the_finite_check(
+        self, capsys, tmp_path, argv, shown
+    ):
+        code, out, err = run_cli(
+            [*argv, "--beta", "1", "--out-dir", str(tmp_path / "out")], capsys
+        )
+        assert code == cli.EXIT_USAGE
+        assert (out, err) == ("", f"error: h must be finite, got {shown}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_value_led_by_a_dash_is_read_as_a_float(self, capsys):
+        code, out, err = run_cli(["point", "--beta", "1", "--h", "-h"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.endswith("error: argument --h: invalid float value: '-h'\n")
+
     def test_repeated_formats_written_once_in_order(self, capsys, tmp_path):
         code, out, _ = run_cli(
             ["point", "--beta", "1", "--h", "0", "--out-dir", str(tmp_path),

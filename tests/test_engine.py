@@ -12,7 +12,7 @@ from cetsim.engine import (
     sample_shots,
 )
 from cetsim.errors import DomainError
-from cetsim.model import CHAIN, ModelParams, cets_amplitudes, exact_expectation, gibbs_distribution
+from cetsim.model import CHAIN, ModelParams, exact_expectation, gibbs_distribution
 from cetsim.pauli import PauliString
 from cetsim.synth import (
     Circuit,
@@ -122,7 +122,8 @@ class TestRunCircuit:
         params = ModelParams(J=1.0, h=-0.9, beta=3.3)
         state = run_circuit(build_triangle_circuit(params))
         np.testing.assert_allclose(
-            state.amplitudes.real, cets_amplitudes(params), atol=1e-12
+            state.amplitudes.real, np.sqrt(gibbs_distribution(params).weights),
+            atol=1e-12,
         )
 
 
@@ -182,6 +183,17 @@ class TestRunCircuits:
         for angles in ([row[:-1]], [row + [0.1]], [row, row[:-1]], [row[:-1], row], []):
             with pytest.raises(DomainError):
                 run_circuits(circuit, angles)
+        rows, r = np.array([row, row]), len(row)
+        for shape in ((r,), (0, r), (2, r + 1), (2, r, 1)):
+            with pytest.raises(DomainError):
+                run_circuits(circuit, np.resize(rows, shape))
+
+    def test_array_and_list_rows_give_the_same_bytes(self):
+        params = [ModelParams(J=1.0, h=h, beta=b) for b in (0.3, 4.0) for h in (-1, 0.6)]
+        angles = np.array([rotation_angles(p) for p in params])
+        circuit = build_circuit(params[0])
+        as_array = run_circuits(circuit, angles)
+        assert as_array.tobytes() == run_circuits(circuit, angles.tolist()).tobytes()
 
 
 class TestDirectExpectation:

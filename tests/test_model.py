@@ -9,7 +9,6 @@ from cetsim.errors import DomainError, TopologyError
 from cetsim.model import (
     CHAIN,
     ModelParams,
-    cets_amplitudes,
     exact_entropy,
     exact_expectation,
     gibbs_distribution,
@@ -181,7 +180,7 @@ def test_exact_expectation_identity():
 def test_exact_expectation_off_diagonal_against_dense_oracle():
     # independent oracle: dense kron matrices on sqrt(p)
     params = ModelParams(J=1.0, h=0.6, beta=2.5)
-    psi = cets_amplitudes(params)
+    psi = np.sqrt(gibbs_distribution(params).weights)
     mats = {
         "I": np.eye(2),
         "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -229,12 +228,6 @@ def test_entropy_landmarks():
         math.log(3), abs=1e-3
     )
     assert exact_entropy(ModelParams(J=1, h=5, beta=11.0)) < 1e-6
-
-
-def test_cets_amplitudes_are_sqrt_weights():
-    params = ModelParams(J=1.0, h=0.2, beta=1.7)
-    table = gibbs_distribution(params)
-    np.testing.assert_allclose(cets_amplitudes(params) ** 2, table.weights, atol=1e-14)
 
 
 def chain_probabilities(params):

@@ -236,6 +236,23 @@ class TestSinglePreparation:
         # one batch of weights and angles; no point's angles on their own
         assert calls == {"build_circuit": 1, "gibbs_tables": 1, "gibbs_angles": 1}
 
+    def test_batch_angles_reach_the_engine_as_one_array(self, monkeypatch):
+        formed, passed = [], []
+
+        def gibbs_angles(*args, _real=synth.gibbs_angles):
+            formed.append(_real(*args))
+            return formed[-1]
+
+        def run_circuits(circuit, angles, _real=engine.run_circuits):
+            passed.append(angles)
+            return _real(circuit, angles)
+
+        monkeypatch.setattr(synth, "gibbs_angles", gibbs_angles)
+        monkeypatch.setattr(engine, "run_circuits", run_circuits)
+        run_sweep(SweepSpec(betas=(0.5, 3.0), fields=(-1.0, 0.0, 2.0)))
+        assert len(passed) == 1 and passed[0] is formed[0]
+        assert isinstance(passed[0], np.ndarray) and passed[0].shape == (6, 7)
+
     def test_sweep_and_emitters_build_no_per_point_objects(
         self, monkeypatch, tmp_path
     ):

@@ -353,3 +353,28 @@ class TestCetsFormat:
         parsed = parse_circuit(export_circuit(circuit))
         for original, reparsed in zip(circuit.gates, parsed.gates):
             assert original.theta == reparsed.theta
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("qubits=x", "line 2: ValueError"),
+        ("qubits=3 topology=triangle n=3 h=1 beta=1 probe=false", "line 2: KeyError"),
+        ("qubits=2\nROT target=1 controls=[a] theta=0.5", "line 3: ValueError"),
+        ("qubits=2\nROT target=1 controls=[0]", "line 3: KeyError"),
+        ("qubits=2\nH controls=[]\nH target=1 controls=[]", "line 3: KeyError"),
+        ("qubits=2\nH target=0\nPAULI target=1 controls=[0]", "line 4: KeyError"),
+        ("qubits=2\nROT target=1 controls=[0] theta=nan", "finite theta, got nan"),
+        ("qubits=2\nROT target=1 controls=[0] theta=-inf", "finite theta, got -inf"),
+    ],
+    ids=["qubits", "no-J", "controls", "no-theta", "no-target", "no-letter",
+         "nan-theta", "inf-theta"],
+)
+def test_malformed_cets_is_a_domain_error(body, message):
+    with pytest.raises(DomainError, match=message):
+        parse_circuit(f"#cets v1\n{body}\n")
+
+
+def test_unknown_cets_topology_stays_a_topology_error():
+    with pytest.raises(TopologyError):
+        parse_circuit("#cets v1\nqubits=3 topology=ring n=3 J=1 h=1 beta=1\n")
