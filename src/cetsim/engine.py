@@ -95,7 +95,8 @@ def run_circuits(circuit: synth.Circuit, angles) -> np.ndarray:
 
     Row b of the float array np.asarray reads from `angles` holds one angle
     per rotation gate, in gate order, for register b; the gates' own angles
-    are not read.  B >= 1 and R is the circuit's rotation count.
+    are not read.  B >= 1, R is the circuit's rotation count and every
+    angle is finite.
     """
     width = len(circuit.angles)
     try:
@@ -104,6 +105,9 @@ def run_circuits(circuit: synth.Circuit, angles) -> np.ndarray:
         angles = np.empty(0)
     if angles.ndim != 2 or not len(angles) or angles.shape[1] != width:
         raise DomainError(f"angles must be one or more rows of {width} values")
+    if not np.isfinite(angles).all():
+        b, r = np.argwhere(~np.isfinite(angles))[0]
+        raise DomainError(f"angle {r} of row {b} must be finite, got {angles[b, r]}")
     n, batch = circuit.qubit_count, len(angles)
     amps = np.zeros((2,) * n + (batch,), dtype=complex)
     amps[(0,) * n] = 1.0

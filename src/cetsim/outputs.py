@@ -10,13 +10,15 @@ per-point `rows` views.  A row file (`sweep.csv`, `sweep.json`) is a
 fixed head, the rows of the grid's points in order, and a fixed tail.
 The rows of any contiguous range of points are spelled by one range
 speller for both files, in one pass per chunk of points, so neither
-file is held whole.  A chunk's numbers are gathered into one slot matrix
-and each distinct bit pattern in it is spelled once; `sweep.csv` takes
-logZ, M, C2, C3 and S from the same texts as `sweep.json`.
-`sweep.json`'s rows are filled into a fixed `%` template whose keys are
-already sorted; each number is spelled as `json` spells it, so the file
-is the one `json.dump(indent=2, sort_keys=True)` would write, without
-its pure-Python encoder.
+file is held whole.  A chunk's numbers are gathered into one slot matrix,
+logZ and every stage's M, C2, C3 and S first, and each distinct bit
+pattern in it is spelled once; `sweep.csv` takes those leading columns,
+the same texts as `sweep.json`.  `sweep.json`'s row template is
+json.dumps(indent=2, sort_keys=True) of one row whose numbers are marker
+strings naming their matrix columns, so the dump itself orders the
+template's `%s` slots.  Each number is spelled as `json` spells it, so
+the file is the one `json.dump(indent=2, sort_keys=True)` would write,
+without its pure-Python encoder.
 
 `emit_outputs` spells the row files in N = min(parallelism, usable
 CPUs, chunks) processes: this one and N - 1 forked children.  Every
@@ -33,8 +35,10 @@ any N.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
+import re
 import tempfile
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -118,59 +122,42 @@ def _spec_payload(spec: sweep_mod.SweepSpec) -> dict:
     }
 
 
-def _template(skeleton: dict, indent: int) -> str:
-    """`skeleton` as json.dump lays it out at `indent`, each None a `%s` slot.
-
-    The first line carries no indent, as the caller places it.
-    """
-    text = json.dumps(skeleton, indent=2, sort_keys=True)
-    return text.replace("\n", "\n" + " " * indent).replace("null", "%s")
-
-
-def _list(items: list[str], indent: int) -> str:
-    """Pre-spelled items as json.dump lays out a list at `indent`."""
-    if not items:
-        return "[]"
-    pad = " " * (indent + 2)
-    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + " " * indent + "]"
-
-
-#: Slots in sorted-key order: C2, C3, M, S, (imag, real) per label in
-#: _OBSERVABLE_ORDER, populations, provenance.
-_STAGE = _template(
-    {
-        "C2": None, "C3": None, "M": None, "S": None,
-        "observables": {label: {"imag": None, "real": None} for label in LABELS},
-        "populations": None,
-        "provenance": None,
-    },
-    8,
-)
-_OBSERVABLE_ORDER = tuple(sorted(LABELS))
-#: Slots in sorted-key order: J, beta, h, logZ, results.
-_ROW = _template(
-    {"J": None, "beta": None, "h": None, "logZ": None, "results": None}, 4
-)
-
-
-#: Slots per stage in a `_slot_matrix` with readouts.
-_STAGE_SLOTS = 4 + 2 * len(LABELS) + 8
-
-
 def _slot_matrix(dataset: sweep_mod.SweepDataset, points: slice, readouts: bool) -> np.ndarray:
-    """(points, 1 + stages x 26): logZ, then per stage C2, C3, M, S, (imag,
-    real) per label in _OBSERVABLE_ORDER and the eight populations.  Without
-    `readouts` each stage has its first four slots alone."""
-    stages = np.stack([column[:, points] for column in (
-        dataset.pair_correlation, dataset.triple_correlation,
-        dataset.magnetization, dataset.entropy,
-    )], axis=-1)
+    """(points, slots): logZ, then each stage's M, C2, C3 and S, then with
+    `readouts` each stage's readouts' real parts, their imaginary parts and
+    its populations."""
+    stats = np.stack([getattr(dataset, attr)[:, points] for attr, _ in _QUANTITIES.values()], -1)
+    blocks = [dataset.log_partition[points, None], *stats]
     if readouts:
-        order = [LABELS.index(label) for label in _OBSERVABLE_ORDER]
-        values = dataset.values[:, points][..., order]
-        parts = np.stack([values.imag, values.real], axis=-1).reshape(*stages.shape[:2], -1)
-        stages = np.concatenate([stages, parts, dataset.populations[:, points]], axis=-1)
-    return np.hstack([dataset.log_partition[points, None], *stages])
+        values = dataset.values[:, points]
+        blocks += [*np.concatenate([values.real, values.imag, dataset.populations[:, points]], -1)]
+    return np.hstack(blocks)
+
+
+def _json_row(dataset: sweep_mod.SweepDataset) -> tuple[str, list[int]]:
+    """A `sweep.json` row as json.dumps lays it out, as a `%` template, and
+    the cell that fills each slot in turn: cell k is column k of the
+    `_slot_matrix` with readouts, and the beta and h cells follow its last.
+    Numbers are dumped as markers naming their cells; the stage names go
+    in after the slots are cut, so no name is taken for a slot."""
+    cell = map("@{}".format, itertools.count())  # zip(keys, cell) takes one per key
+    logZ = next(cell)
+    stats = [dict(zip(_QUANTITIES, cell)) for _ in dataset.provenances]
+    results = []
+    for s, stat in enumerate(stats):
+        real, imag = dict(zip(LABELS, cell)), dict(zip(LABELS, cell))
+        results.append({
+            **stat,
+            "observables": {label: {"real": real[label], "imag": imag[label]} for label in LABELS},
+            "populations": list(itertools.islice(cell, dataset.populations.shape[-1])),
+            "provenance": f"#{s}",
+        })
+    row = {"J": dataset.spec.J, "beta": next(cell), "h": next(cell), "logZ": logZ,
+           "results": results}
+    text = json.dumps(row, indent=2, sort_keys=True).replace("%", "%%").replace("\n", "\n    ")
+    order = [int(k) for k in re.findall(r'"@(\d+)"', text)]
+    names = [json.dumps(name).replace("%", "%%") for name in dataset.provenances]
+    return re.sub(r'"#(\d+)"', lambda m: names[int(m[1])], re.sub(r'"@\d+"', "%s", text)), order
 
 
 def _spell(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,39 +196,29 @@ def _row_speller(
     by a newline.  A "json" file takes the chunk's stretch of the "rows"
     list of `sweep.json`, each row after its separator, so the stretches of
     consecutive chunks concatenate.  A chunk's slot matrix is spelled once
-    for both: a JSON row fills one template whose slots follow the matrix,
-    and a CSV line takes logZ and its stage's M, C2, C3 and S from the
-    same texts.  Every axis value is spelled once, here; each row is
-    written as it is spelled, so no chunk's text is held whole.
+    for both: a JSON row fills the `_json_row` template with the matrix's
+    cells in the template's order, and a CSV line takes logZ and its
+    stage's M, C2, C3 and S from the matrix's leading columns.  Every axis
+    value is spelled once, here; each row is written as it is spelled, so
+    no chunk's text is held whole.
     """
     spec = dataset.spec
     width = len(spec.fields)
     # without JSON only the CSV's slots are spelled
     readouts = "json" in formats
-    stage_slots = _STAGE_SLOTS if readouts else 4
-    # logZ, then each stage's M, C2, C3 and S, as CSV_HEADER orders them
-    csv_slots = [0] + [
-        1 + stage_slots * s + k for s in range(len(dataset.provenances)) for k in (2, 0, 1, 3)
-    ]
     csv_J = f"{float(spec.J)!r},"
     csv_betas = [f"{float(b)!r}," for b in spec.betas]
     csv_fields = [f"{float(h)!r},{csv_J}" for h in spec.fields]
     provenances = [f"{name}\n" for name in dataset.provenances]
-    numbers = ["%s"] * (4 + 2 * len(LABELS))
-    stages = [
-        _STAGE % (*numbers, _list(["%s"] * 8, 10), json.dumps(name).replace("%", "%%"))
-        for name in dataset.provenances
-    ]
-    template = _ROW % ("%s", "%s", "%s", "%s", _list(stages, 6))
-    J = json.dumps(spec.J)
-    betas = list(map(json.dumps, spec.betas))
-    fields = list(map(json.dumps, spec.fields))
+    template, order = _json_row(dataset)
+    betas = np.array(list(map(json.dumps, spec.betas)), dtype=object)
+    fields = np.array(list(map(json.dumps, spec.fields)), dtype=object)
 
     def spell(chunk: range, files: Sequence) -> None:
         reprs, jsons = _spell(_slot_matrix(dataset, slice(chunk.start, chunk.stop), readouts))
         for fmt, fh in zip(formats, files):
             if fmt == "csv":
-                for b, cells in zip(chunk, reprs[:, csv_slots].tolist()):
+                for b, cells in zip(chunk, reprs[:, : 1 + 4 * len(provenances)].tolist()):
                     head = csv_betas[b // width] + csv_fields[b % width]
                     tail = f",{cells[0]},"
                     fh.write("".join(
@@ -250,9 +227,10 @@ def _row_speller(
                     ).encode())
             else:
                 sep = "\n    " if chunk.start == 0 else ",\n    "
-                for b, slots in zip(chunk, jsons.tolist()):
-                    row = template % (J, betas[b // width], fields[b % width], *slots)
-                    fh.write((sep + row).encode())
+                points = np.arange(chunk.start, chunk.stop)
+                cells = np.column_stack([jsons, betas[points // width], fields[points % width]])
+                for slots in cells[:, order].tolist():
+                    fh.write((sep + template % tuple(slots)).encode())
                     sep = ",\n    "
 
     return spell
@@ -408,6 +386,8 @@ def write_heatmap(
     """Quantity over the (h, beta) grid for one provenance stage."""
     if quantity not in _QUANTITIES:
         raise DomainError(f"unknown plot quantity {quantity!r}")
+    if provenance not in dataset.provenances:
+        raise DomainError(f"the dataset has no stage {provenance!r}")
     attr, label = _QUANTITIES[quantity]
     betas = list(dataset.spec.betas)
     fields = list(dataset.spec.fields)

@@ -37,6 +37,8 @@ _FORMAT_HEADER = "#cets v1"
 #: spelled `field=value` after the target and controls (None: no field).
 _GATE_KINDS = {"rot": ("ROT", "theta"), "h": ("H", None), "pauli": ("PAULI", "letter")}
 _GATE_OF_KEYWORD = {kw: (kind, field) for kind, (kw, field) in _GATE_KINDS.items()}
+#: The metadata line's fields: qubits, alone or with the synthesis parameters.
+_META_FIELDS = ("qubits", "topology", "n", "J", "h", "beta", "probe")
 
 
 @dataclass(frozen=True)
@@ -267,19 +269,24 @@ def export_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_fields(parts: list[str], line_no: int) -> dict[str, str]:
+def _parse_fields(parts: list[str], line_no: int, allowed) -> dict[str, str]:
+    """The `key=value` fields of line `line_no`: each key once, from `allowed`."""
     fields: dict[str, str] = {}
     for part in parts:
         key, sep, value = part.partition("=")
         if not sep:
             raise DomainError(f"malformed field {part!r} on line {line_no}")
+        if key in fields or key not in allowed:
+            raise DomainError(f"{'repeated' if key in fields else 'unexpected'} field "
+                              f"{part!r} on line {line_no}")
         fields[key] = value
     return fields
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the .cets format produced by export_circuit; a missing field or a
-    value that does not parse is a DomainError naming its line."""
+    """Parse the .cets format produced by export_circuit; a missing, repeated
+    or unexpected field or a value that does not parse is a DomainError
+    naming its line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _FORMAT_HEADER:
         raise DomainError(f"missing {_FORMAT_HEADER!r} header")
@@ -287,7 +294,9 @@ def parse_circuit(text: str) -> Circuit:
         raise DomainError("missing metadata line")
     line_no = 2
     try:
-        meta = _parse_fields(lines[1].split(), line_no)
+        parts = lines[1].split()
+        topology = any(part.startswith("topology=") for part in parts)
+        meta = _parse_fields(parts, line_no, _META_FIELDS if topology else ("qubits",))
         if "qubits" not in meta:
             raise DomainError("metadata line lacks qubits=")
         qubit_count = int(meta["qubits"])
@@ -301,14 +310,17 @@ def parse_circuit(text: str) -> Circuit:
                 n=int(meta["n"]),
                 topology=meta["topology"],
             )
-            include_probe = meta.get("probe") == "true"
+            probe = meta.get("probe", "false")
+            if probe not in ("true", "false"):
+                raise DomainError(f"probe must be true or false, got {probe!r} on line {line_no}")
+            include_probe = probe == "true"
         gates: list[Gate] = []
         for line_no, line in enumerate(lines[2:], start=3):
             keyword, *parts = line.split()
             if keyword not in _GATE_OF_KEYWORD:
                 raise DomainError(f"unknown gate {keyword!r} on line {line_no}")
             kind, field = _GATE_OF_KEYWORD[keyword]
-            fields = _parse_fields(parts, line_no)
+            fields = _parse_fields(parts, line_no, ("target", "controls", field))
             raw = fields.get("controls", "[]").strip("[]")
             controls = tuple(int(c) for c in raw.split(",")) if raw else ()
             ending = {}

@@ -188,6 +188,23 @@ class TestRunCircuits:
             with pytest.raises(DomainError):
                 run_circuits(circuit, np.resize(rows, shape))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(math.nan, "angle 3 of row 1 must be finite, got nan"),
+         (math.inf, "angle 3 of row 1 must be finite, got inf"),
+         (-math.inf, "angle 3 of row 1 must be finite, got -inf")],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_non_finite_angle_is_a_domain_error(self, bad, message):
+        # raised before any cos or sin is taken, so inf warns of nothing
+        circuit = build_triangle_circuit(ModelParams(J=1.0, h=0.5, beta=1.0))
+        angles = np.array([circuit.angles] * 3)
+        angles[1, 3] = angles[2, 0] = bad
+        with pytest.raises(DomainError, match=message):
+            run_circuits(circuit, angles)
+        with pytest.raises(DomainError, match="angle 0 of row 0"):
+            run_circuits(circuit, [[math.nan] * len(circuit.angles)])
+
     def test_array_and_list_rows_give_the_same_bytes(self):
         params = [ModelParams(J=1.0, h=h, beta=b) for b in (0.3, 4.0) for h in (-1, 0.6)]
         angles = np.array([rotation_angles(p) for p in params])

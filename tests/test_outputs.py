@@ -85,7 +85,8 @@ class TestCsv:
             assert float(cells[7]) == row.log_partition
 
     def test_matches_row_loop(self, noisy_dataset, tmp_path):
-        for dataset in (noisy_dataset, _decay_t1(), _shots(), _integer_inputs()):
+        datasets = (noisy_dataset, _decay_t1(), _shots(), _integer_inputs(), _special_names())
+        for dataset in datasets:
             write_csv(dataset, tmp_path / "sweep.csv")
             expected = [CSV_HEADER]
             for row in dataset.rows:
@@ -228,6 +229,19 @@ def _special_floats():
     )
 
 
+def _special_names():
+    """Seven stages, named with what json escapes or `%` reads, and as the
+    row template's own markers."""
+    names = ("50%", "%s", 'say "hi"', "back\\slash", "réel ✓", "@1", "#0")
+    base = _eta_auto()
+    stages = [k % len(base.provenances) for k in range(len(names))]
+    columns = ("values", "populations", "magnetization", "pair_correlation",
+               "triple_correlation", "entropy")
+    return dataclasses.replace(
+        base, provenances=names, **{name: getattr(base, name)[stages] for name in columns}
+    )
+
+
 class TestJsonBytes:
     @pytest.mark.parametrize(
         "build",
@@ -238,10 +252,11 @@ class TestJsonBytes:
             _shots,
             _integer_inputs,
             _special_floats,
+            _special_names,
         ],
         ids=[
             "ideal", "eta-auto", "decay-t1", "shots", "integer-inputs",
-            "special-floats",
+            "special-floats", "special-names",
         ],
     )
     def test_matches_json_dump(self, build, tmp_path):
@@ -381,6 +396,11 @@ class TestSvg:
         rects = [el for el in root.iter() if el.tag.endswith("rect")]
         # 6 grid cells + 24 colour-bar steps
         assert len(rects) == 6 + 24
+
+    def test_heatmap_of_an_absent_stage_is_a_domain_error(self, ideal_dataset, tmp_path):
+        with pytest.raises(DomainError, match="no stage 'recovered'"):
+            write_heatmap(ideal_dataset, "M", "recovered", tmp_path / "heat.svg")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_quantity_rejected(self, ideal_dataset, tmp_path):
         with pytest.raises(DomainError):

@@ -366,9 +366,29 @@ class TestCetsFormat:
         ("qubits=2\nH target=0\nPAULI target=1 controls=[0]", "line 4: KeyError"),
         ("qubits=2\nROT target=1 controls=[0] theta=nan", "finite theta, got nan"),
         ("qubits=2\nROT target=1 controls=[0] theta=-inf", "finite theta, got -inf"),
+        ("qubits=2\nH target=0 controls=[] theta=nan letter=Q",
+         "unexpected field 'theta=nan' on line 3"),
+        ("qubits=2\nPAULI target=1 controls=[0] letter=X theta=1",
+         "unexpected field 'theta=1' on line 3"),
+        ("qubits=2\nH target=0 colour=red", "unexpected field 'colour=red' on line 3"),
+        ("qubits=2\nH target=0 target=1", "repeated field 'target=1' on line 3"),
+        ("qubits=2\nROT target=1 theta=0.5 theta=0.5", "repeated field 'theta=0.5' on line 3"),
+        ("qubits=2 bogus=3", "unexpected field 'bogus=3' on line 2"),
+        ("qubits=2 qubits=2", "repeated field 'qubits=2' on line 2"),
+        ("qubits=2 probe=true", "unexpected field 'probe=true' on line 2"),
+        ("qubits=3 n=3 J=1 h=1 beta=1", "unexpected field 'n=3' on line 2"),
+        ("qubits=3 topology=triangle n=3 J=1 h=1 beta=1 probe=maybe",
+         "probe must be true or false, got 'maybe' on line 2"),
+        ("qubits=3 topology=triangle n=3 J=1 h=1 beta=1 probe=false probe=true",
+         "repeated field 'probe=true' on line 2"),
+        ("qubits=3 topology=triangle n=3 J=1 h=1 beta=1 colour=red",
+         "unexpected field 'colour=red' on line 2"),
     ],
     ids=["qubits", "no-J", "controls", "no-theta", "no-target", "no-letter",
-         "nan-theta", "inf-theta"],
+         "nan-theta", "inf-theta", "h-with-fields", "pauli-with-theta", "unknown-gate-field",
+         "repeated-target", "repeated-theta", "unknown-meta-field", "repeated-qubits",
+         "probe-without-topology", "n-without-topology", "probe-maybe", "repeated-probe",
+         "unknown-topology-field"],
 )
 def test_malformed_cets_is_a_domain_error(body, message):
     with pytest.raises(DomainError, match=message):
