@@ -4,10 +4,15 @@ The register uses big-endian indexing: qubit 0 is the most significant
 bit of the state index, so for a three-spin circuit the index reads as
 the spin string b_1 b_2 b_3.
 
-One gate kernel acts in place, through views, on B registers held as
-a (2, ..., 2, B) array whose axis q is qubit q.  `run_circuits` runs one
-circuit over a (B, R) array of angles, one row of R rotation angles per
-register, at once; `run_circuit` is its B = 1 call.
+B registers are held as one (2, ..., 2, B) array whose axis q is qubit q.
+A gate layout, each gate's (kind, target, controls) without its angle, is
+compiled once per register size into a plan: each step's update and the
+index tuples of its target's 0 and 1 halves with the controls at 1.  One
+executor, `run_layout`, runs a plan in place through those views over a
+(B, R) array of angles, one row of R rotation angles per register.  The
+register is float64 unless a step is a Y letter, so a preparation circuit,
+whose rotations are real, never goes complex.  `run_circuits` runs a
+`synth.Circuit`'s layout, and `run_circuit` is its B = 1 call.
 
 Readout of an operator U on a prepared state |psi> goes through an
 ancilla probe: the register is driven to (|0>|psi> + |1> U|psi>)/sqrt(2)
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,17 +41,22 @@ _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 @dataclass
 class StateVector:
-    """Complex amplitudes over computational basis states."""
+    """Amplitudes over the computational basis states of one or more qubits:
+    float64 from a circuit without a Y letter, complex otherwise."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.ndim(self.amplitudes) != 1:
+            raise DomainError("amplitudes must be a vector")
         # run_circuit hands over a strided row of its batch; the dot
         # products read one contiguous buffer
         self.amplitudes = np.ascontiguousarray(self.amplitudes)
-        size = self.amplitudes.shape[0]
-        if self.amplitudes.ndim != 1 or size & (size - 1) or size == 0:
-            raise DomainError("amplitude vector length must be a power of two")
+        size = len(self.amplitudes)
+        if size < 2 or size & (size - 1):
+            raise DomainError(
+                f"amplitude vector length must be a power of two >= 2, got {size}"
+            )
 
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
@@ -66,56 +77,87 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _apply(amps: np.ndarray, gate: synth.Gate, cos=None, sin=None) -> None:
-    """Apply one gate in place to a (2, ..., 2, B) batch of registers.
+def _rotate(a0, a1, turns):
+    cos, sin = next(turns)
+    return cos * a0 - sin * a1, sin * a0 + cos * a1
 
-    `cos` and `sin` hold each register's angle for a "rot" gate.
+
+#: Each step kind's new 0 and 1 halves of its target from the old; a
+#: rotation takes the next (cos, sin) pair of (B,) rows from `turns`.
+_UPDATES = {
+    "rot": _rotate,
+    "h": lambda a0, a1, turns: (_SQRT_HALF * (a0 + a1), _SQRT_HALF * (a0 - a1)),
+    "X": lambda a0, a1, turns: (a1.copy(), a0.copy()),
+    "Y": lambda a0, a1, turns: (-1j * a1, 1j * a0),
+    "Z": lambda a0, a1, turns: (a0, -a1),
+}
+
+
+@lru_cache(maxsize=128)
+def _plan(qubits: int, layout: tuple) -> tuple[type, int, tuple]:
+    """The register dtype, the rotation count and the steps of `layout` on
+    `qubits` qubits, compiled once per pair."""
+    steps = []
+    for kind, target, controls in layout:
+        if kind not in _UPDATES:
+            raise DomainError(f"unknown step kind {kind!r}")
+        # an index of `qubits` or -1 would address the batch axis
+        touched = (target, *controls)
+        if len(set(touched)) < len(touched) or not all(0 <= q < qubits for q in touched):
+            raise DomainError(
+                f"step {(kind, target, controls)} must touch distinct qubits below {qubits}"
+            )
+        index = [slice(None)] * (qubits + 1)  # the last axis is the batch
+        for c in controls:
+            index[c] = 1
+        index[target] = 0
+        zero = tuple(index)
+        index[target] = 1
+        steps.append((_UPDATES[kind], zero, tuple(index)))
+    kinds = [kind for kind, _, _ in layout]
+    return complex if "Y" in kinds else float, kinds.count("rot"), tuple(steps)
+
+
+def run_layout(qubits: int, layout: tuple, angles) -> np.ndarray:
+    """Execute a gate layout on |0...0> of `qubits` qubits over (B, R)
+    angles; (B, 2**qubits) amplitudes, float64 unless a step is a Y letter.
+
+    `layout` holds each gate's (kind, target, controls) in order, as
+    `synth.layout` and `synth.Circuit.layout` give it: kind "rot", "h" or
+    a Pauli letter, its qubits distinct and below `qubits` (else a
+    `DomainError`).  Row b of the float array np.asarray reads from
+    `angles` holds one angle per "rot" step, in step order, for register
+    b.  B >= 1 and every angle is finite.
     """
-    sel = [slice(None)] * amps.ndim
-    for c in gate.controls:
-        sel[c] = 1
-    sel[gate.target] = 0
-    a0 = amps[tuple(sel)]
-    sel[gate.target] = 1
-    a1 = amps[tuple(sel)]
-    if gate.kind == "rot":
-        a0[...], a1[...] = cos * a0 - sin * a1, sin * a0 + cos * a1
-    elif gate.kind == "h":
-        a0[...], a1[...] = _SQRT_HALF * (a0 + a1), _SQRT_HALF * (a0 - a1)
-    elif gate.letter == "X":
-        a0[...], a1[...] = a1.copy(), a0.copy()
-    elif gate.letter == "Y":
-        a0[...], a1[...] = -1j * a1, 1j * a0
-    else:  # Z
-        np.negative(a1, out=a1)
+    dtype, rotations, steps = _plan(qubits, layout)
+    try:
+        angles = np.asarray(angles, dtype=float)
+    except ValueError:  # ragged rows
+        angles = np.empty(0)
+    if angles.ndim != 2 or not len(angles) or angles.shape[1] != rotations:
+        raise DomainError(f"angles must be one or more rows of {rotations} values")
+    if not np.isfinite(angles).all():
+        b, r = np.argwhere(~np.isfinite(angles))[0]
+        raise DomainError(f"angle {r} of row {b} must be finite, got {angles[b, r]}")
+    batch = len(angles)
+    amps = np.zeros((2,) * qubits + (batch,), dtype=dtype)
+    amps[(0,) * qubits] = 1.0
+    turns = zip(np.cos(angles.T), np.sin(angles.T))
+    for update, zero, one in steps:
+        a0, a1 = amps[zero], amps[one]
+        a0[...], a1[...] = update(a0, a1, turns)
+    return amps.reshape(-1, batch).T
 
 
 def run_circuits(circuit: synth.Circuit, angles) -> np.ndarray:
     """Execute one circuit on |0...0> over (B, R) angles; (B, 2**n) amplitudes.
 
-    Row b of the float array np.asarray reads from `angles` holds one angle
+    The circuit's layout runs through `run_layout`, so the amplitudes are
+    float64 unless a gate is a Y letter.  Row b of `angles` holds one angle
     per rotation gate, in gate order, for register b; the gates' own angles
-    are not read.  B >= 1, R is the circuit's rotation count and every
-    angle is finite.
+    are not read.  R is the circuit's rotation count.
     """
-    width = len(circuit.angles)
-    try:
-        angles = np.asarray(angles, dtype=float)
-    except ValueError:  # ragged rows
-        angles = np.empty(0)
-    if angles.ndim != 2 or not len(angles) or angles.shape[1] != width:
-        raise DomainError(f"angles must be one or more rows of {width} values")
-    if not np.isfinite(angles).all():
-        b, r = np.argwhere(~np.isfinite(angles))[0]
-        raise DomainError(f"angle {r} of row {b} must be finite, got {angles[b, r]}")
-    n, batch = circuit.qubit_count, len(angles)
-    amps = np.zeros((2,) * n + (batch,), dtype=complex)
-    amps[(0,) * n] = 1.0
-    # each rotation gate's (B,) row, complex like the registers it scales
-    turns = zip(np.cos(angles.T).astype(complex), np.sin(angles.T).astype(complex))
-    for gate in circuit.gates:
-        _apply(amps, gate, *(next(turns) if gate.kind == "rot" else ()))
-    return amps.reshape(-1, batch).T
+    return run_layout(circuit.qubit_count, circuit.layout, angles)
 
 
 def run_circuit(circuit: synth.Circuit) -> StateVector:

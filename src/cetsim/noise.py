@@ -65,6 +65,8 @@ class DensityMatrix:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"density matrix must be square, got {m.shape}")
+        if not m.size:
+            raise DomainError("density matrix must not be empty")
         if not np.max(np.abs(m - m.conj().T)) <= _HERMITIAN_TOL:
             raise DomainError("density matrix is not Hermitian")
         check_unit(complex(np.trace(m)), _TRACE_TOL, DomainError,

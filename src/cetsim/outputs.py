@@ -211,6 +211,11 @@ def _row_speller(
     csv_fields = [f"{float(h)!r},{csv_J}" for h in spec.fields]
     provenances = [f"{name}\n" for name in dataset.provenances]
     template, order = _json_row(dataset)
+    # the beta and h cells follow the slot matrix's last column: their slots
+    # gather column 0 and are filled after
+    beta_slot, h_slot = order.index(len(order) - 2), order.index(len(order) - 1)
+    gather = np.array(order)
+    gather[[beta_slot, h_slot]] = 0
     betas = np.array(list(map(json.dumps, spec.betas)), dtype=object)
     fields = np.array(list(map(json.dumps, spec.fields)), dtype=object)
 
@@ -228,8 +233,10 @@ def _row_speller(
             else:
                 sep = "\n    " if chunk.start == 0 else ",\n    "
                 points = np.arange(chunk.start, chunk.stop)
-                cells = np.column_stack([jsons, betas[points // width], fields[points % width]])
-                for slots in cells[:, order].tolist():
+                cells = jsons[:, gather]
+                cells[:, beta_slot] = betas[points // width]
+                cells[:, h_slot] = fields[points % width]
+                for slots in cells.tolist():
                     fh.write((sep + template % tuple(slots)).encode())
                     sep = ",\n    "
 

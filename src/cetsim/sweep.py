@@ -2,10 +2,10 @@
 
 One array pipeline, `run_sweep`, serves every point: a `SweepSpec` names
 a batch by its grid's axes, and `run_sweep` simulates the grid's triangle
-points in one `engine.run_circuits` pass, one circuit over B rows of
-angles.  `run_point` is the batch of one.  `_stages` stacks the provenance
-stages (ideal, noisy, recovered) along a leading axis and reconstructs
-them all in one call.
+points in one `engine.run_layout` pass, one compiled circuit shape over B
+rows of angles.  `run_point` is the batch of one.  `_stages` stacks the
+provenance stages (ideal, noisy, recovered) along a leading axis and
+reconstructs them all in one call.
 
 A `SweepDataset` keeps the result as (stage, point) columns; `SweepRow`,
 `PointResult` and `MeasurementSet` are per-point views built on request.
@@ -304,9 +304,11 @@ def check_writable(out_dir: str) -> None:
 
 def run_sweep(spec: SweepSpec, shots: int | None = None,
               seed: int | None = None) -> SweepDataset:
-    """Run every triangle point of `spec`'s grid as one batch: one circuit,
-    built for the first point, over each point's angles, all read off one
+    """Run every triangle point of `spec`'s grid as one batch: the compiled
+    plan of the preparation circuit's `synth.layout`, run once over every
+    point's row of angles on a float64 register, all read off one
     `model.gibbs_tables` call on the grid's row-major beta and h columns.
+    No `synth.Gate` or `synth.Circuit` is built.
 
     With `shots` the ideal readouts are finite-sample estimates.  Point b's
     readout at position i of LABELS draws from the stream
@@ -316,8 +318,8 @@ def run_sweep(spec: SweepSpec, shots: int | None = None,
     betas = [beta for beta in spec.betas for _ in spec.fields]
     weights, log_z = model.gibbs_tables(first, betas, spec.fields * len(spec.betas))[1:]
     angles = synth.gibbs_angles(weights, first)
-    circuit = synth.build_circuit(first, angles=angles[0])
-    populations = abs(engine.run_circuits(circuit, angles)) ** 2
+    amps = engine.run_layout(first.n, synth.layout(first.topology, first.n, False), angles)
+    populations = amps * amps
     errors.check_unit(np.sqrt(populations.sum(axis=1)), 1e-9, NumericError,
                       "prepared state norm is")
     names, values, populations, columns = _stages(populations, spec.noise, shots, seed)

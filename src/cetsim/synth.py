@@ -167,6 +167,15 @@ class Circuit:
         """The rotation gates' angles in gate order: one row of engine.run_circuits."""
         return [gate.theta for gate in self.gates if gate.kind == "rot"]
 
+    @property
+    def layout(self) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+        """Each gate's (kind, target, controls), a Pauli gate's kind its letter:
+        the shape `engine.run_layout` compiles, without the angles."""
+        return tuple(
+            (gate.letter if gate.kind == "pauli" else gate.kind, gate.target, gate.controls)
+            for gate in self.gates
+        )
+
 
 def rotation_angles(params: model.ModelParams) -> list[float]:
     """The rotation angles of a point's preparation circuit, in gate order."""
@@ -177,36 +186,34 @@ def rotation_angles(params: model.ModelParams) -> list[float]:
 
 
 @lru_cache(maxsize=64)
-def _layout(topology: str, n: int, off: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(target, controls) of each rotation, in the order of gibbs_angles, with the
-    spins on qubits off, off + 1, ...: per site, one for each subset of its
-    window, ordered by a mask whose lowest bit is the farthest predecessor."""
-    layout = []
+def layout(topology: str, n: int, probe: bool) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
+    """("rot", target, controls) of each rotation of a preparation circuit, in
+    the order of gibbs_angles, with the spins on qubits 0, 1, ... or, with
+    `probe`, 1, 2, ...: per site, one for each subset of its window, ordered
+    by a mask whose lowest bit is the farthest predecessor."""
+    off = 1 if probe else 0
+    steps = []
     for site, k in enumerate(_windows(topology, n)):
         controls = [()]
         for qubit in range(off + site - k, off + site):
             controls += [c + (qubit,) for c in controls]
-        layout += [(off + site, c) for c in controls]
-    return tuple(layout)
+        steps += [("rot", off + site, c) for c in controls]
+    return tuple(steps)
 
 
-def build_circuit(
-    params: model.ModelParams, include_probe: bool = False, angles=None
-) -> Circuit:
-    """Preparation circuit of a triangle or an open chain.
+def build_circuit(params: model.ModelParams, include_probe: bool = False) -> Circuit:
+    """Preparation circuit of a triangle or an open chain: the gates of
+    `layout` with the point's `rotation_angles`.
 
     Qubits are the spins in order; with include_probe an extra qubit 0
     is prepended in (|0> + |1>)/sqrt(2) and the spins shift up by one.
-    `angles` are the point's `rotation_angles` when already formed.
     """
-    if angles is None:
-        angles = rotation_angles(params)
     off = 1 if include_probe else 0
-    layout = _layout(params.topology, params.n, off)
+    steps = layout(params.topology, params.n, bool(include_probe))
     gates = [Gate(kind="h", target=0)] if include_probe else []
     gates += [
-        Gate(kind="rot", target=target, controls=controls, theta=theta)
-        for (target, controls), theta in zip(layout, angles)
+        Gate(kind=kind, target=target, controls=controls, theta=theta)
+        for (kind, target, controls), theta in zip(steps, rotation_angles(params))
     ]
     return Circuit(
         qubit_count=params.n + off,

@@ -9,6 +9,7 @@ from cetsim.engine import (
     probe_expectation,
     run_circuit,
     run_circuits,
+    run_layout,
     sample_shots,
 )
 from cetsim.errors import DomainError
@@ -205,12 +206,45 @@ class TestRunCircuits:
         with pytest.raises(DomainError, match="angle 0 of row 0"):
             run_circuits(circuit, [[math.nan] * len(circuit.angles)])
 
+    @pytest.mark.parametrize("letters, dtype", [("XIZ", np.float64), ("ZYI", np.complex128)])
+    def test_register_goes_complex_only_for_a_y_letter(self, letters, dtype):
+        params = ModelParams(J=1.0, h=0.5, beta=1.0)
+        assert run_circuit(build_circuit(params)).amplitudes.dtype == np.float64
+        circuit = probe_circuit(params, letters)
+        assert run_circuits(circuit, [circuit.angles]).dtype == dtype
+
+    @pytest.mark.parametrize(
+        "layout",
+        [(("rot", 2, ()),), (("rot", -1, ()),), (("rot", 0, (2,)),), (("rot", 0, (0,)),),
+         (("T", 0, ()),)],
+        ids=["target-is-batch", "negative-target", "control-is-batch", "target-is-control",
+             "unknown-kind"],
+    )
+    def test_malformed_layout_is_a_domain_error(self, layout):
+        # two rows: an index into the batch axis would run, mixing registers
+        with pytest.raises(DomainError):
+            run_layout(2, layout, [[0.5], [0.7]])
+
     def test_array_and_list_rows_give_the_same_bytes(self):
         params = [ModelParams(J=1.0, h=h, beta=b) for b in (0.3, 4.0) for h in (-1, 0.6)]
         angles = np.array([rotation_angles(p) for p in params])
         circuit = build_circuit(params[0])
         as_array = run_circuits(circuit, angles)
         assert as_array.tobytes() == run_circuits(circuit, angles.tolist()).tobytes()
+
+
+class TestStateVector:
+    @pytest.mark.parametrize(
+        "amplitudes", [np.array(1.0), np.array([1.0]), np.ones((2, 2)), np.ones(3)],
+        ids=["0-d", "0-qubit", "matrix", "not-a-power"],
+    )
+    def test_rejects_what_zero_cannot_make(self, amplitudes):
+        # zero(n) needs n >= 1, so a vector holds at least 2 amplitudes
+        with pytest.raises(DomainError):
+            StateVector(amplitudes)
+
+    def test_accepts_one_qubit(self):
+        assert StateVector(np.array([0.6, 0.8])).qubit_count == 1
 
 
 class TestDirectExpectation:

@@ -49,6 +49,10 @@ class TestDensityMatrix:
         with pytest.raises(DomainError):
             DensityMatrix(m)
 
+    def test_rejects_empty(self):
+        with pytest.raises(DomainError, match="empty"):
+            DensityMatrix(np.zeros((0, 0)))
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.eye(4, dtype=complex))

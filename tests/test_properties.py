@@ -5,15 +5,18 @@ run is reproducible and the whole module stays within a few seconds.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from cetsim.engine import run_circuit, run_circuits
+from cetsim import reconstruct
+from cetsim.engine import run_circuit, run_circuits, run_layout
 from cetsim.errors import DomainError
 from cetsim.model import (
     CHAIN,
+    TRIANGLE,
     ModelParams,
     exact_expectation,
     gibbs_distribution,
@@ -23,7 +26,7 @@ from cetsim.noise import DecayProfile
 from cetsim.pauli import PauliString
 from cetsim.reconstruct import LABELS
 from cetsim.sweep import NoiseOptions, SweepSpec, run_point, run_sweep
-from cetsim.synth import build_circuit, gibbs_angles
+from cetsim.synth import Circuit, Gate, build_circuit, gibbs_angles, layout
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -71,11 +74,67 @@ class TestCircuitEqualsOracle:
         # rows of rotated, unequal weights each come back from the circuit
         weights = np.array([np.roll(values, row) for row in range(rows)])
         weights /= weights.sum(axis=1, keepdims=True)
-        params = ModelParams(J=1.0, h=0.0, beta=1.0)
-        angles = gibbs_angles(weights, params)
-        circuit = build_circuit(params, angles=angles[0])
-        probs = np.abs(run_circuits(circuit, angles.tolist())) ** 2
+        angles = gibbs_angles(weights, ModelParams(J=1.0, h=0.0, beta=1.0))
+        amps = run_layout(3, layout(TRIANGLE, 3, False), angles.tolist())
+        probs = amps * amps
         assert np.abs(probs - weights).max() <= 1e-15
+
+
+def _circuit_probabilities(params):
+    return run_circuit(build_circuit(params)).probabilities().tobytes()
+
+
+class TestCompiledLayoutEqualsCircuit:
+    """The sweep's compiled layout prepares each point's populations byte
+    for byte as the point's Gate-built circuit does."""
+
+    @_SETTINGS
+    @given(st.lists(_WIDE_BETA, min_size=1, max_size=3),
+           st.lists(_H, min_size=1, max_size=3), _J)
+    def test_triangle_sweep_populations(self, betas, fields, J):
+        spec = _admitted(SweepSpec, betas=tuple(betas), fields=tuple(fields), J=J)
+        prepared = []
+
+        def readouts(populations, _real=reconstruct.readouts):
+            prepared.append(populations)
+            return _real(populations)
+
+        with mock.patch.object(reconstruct, "readouts", readouts):
+            run_sweep(spec)
+        points = [ModelParams(J=J, h=h, beta=beta) for beta in betas for h in fields]
+        assert len(prepared[0]) == len(points)
+        for row, params in zip(prepared[0], points):
+            assert row.tobytes() == _circuit_probabilities(params)
+
+    @_SETTINGS
+    @given(st.integers(1, 12), st.lists(st.tuples(_WIDE_BETA, _H), min_size=1, max_size=3),
+           _J)
+    def test_chain_populations(self, n, points, J):
+        # run_sweep's steps on a chain, which SweepSpec does not name
+        chain = [_admitted(ModelParams, J=J, h=h, beta=beta, n=n, topology=CHAIN)
+                 for beta, h in points]
+        weights = gibbs_tables(chain[0], [p.beta for p in chain], [p.h for p in chain])[1]
+        amps = run_layout(n, layout(CHAIN, n, False), gibbs_angles(weights, chain[0]))
+        assert amps.dtype == np.float64
+        for row, params in zip(amps * amps, chain):
+            assert row.tobytes() == _circuit_probabilities(params)
+
+    @_SETTINGS
+    @given(_points(cluster=st.one_of(st.none(), st.integers(3, 9))), st.data())
+    def test_probe_circuits_apply_the_pauli_string(self, params, data):
+        letters = data.draw(st.permutations("XYZ" + "I" * (params.n - 3)))
+        prep = build_circuit(params, include_probe=True)
+        paulis = tuple(
+            Gate(kind="pauli", target=site + 1, controls=(0,), letter=letter)
+            for site, letter in enumerate(letters) if letter != "I"
+        )
+        circuit = Circuit(qubit_count=prep.qubit_count, gates=prep.gates + paulis)
+        amps = run_circuits(circuit, [circuit.angles])[0] * math.sqrt(2.0)
+        psi = run_circuit(build_circuit(params)).amplitudes
+        half = 1 << params.n
+        # criterion 05's tolerance: |0>|psi> + |1>P|psi>, over sqrt(2)
+        assert np.abs(amps[:half] - psi).max() < 1e-10
+        assert np.abs(amps[half:] - PauliString(tuple(letters)).apply(psi)).max() < 1e-10
 
 
 class TestSignsEqualIndexBits:

@@ -214,27 +214,52 @@ def count_calls(monkeypatch):
     return calls
 
 
+def count_circuit_objects(monkeypatch):
+    """Names of the `synth.Gate`s and `synth.Circuit`s constructed from here on."""
+    made = []
+    for cls in (synth.Gate, synth.Circuit):
+        def counting(self, _real=cls.__post_init__, _name=cls.__name__):
+            made.append(_name)
+            _real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return made
+
+
 class TestSinglePreparation:
     @pytest.mark.parametrize(
         "noise", [None, NoiseOptions(eta=0.7, recover="auto")], ids=["ideal", "eta-auto"]
     )
     def test_one_circuit_per_point(self, noise, monkeypatch):
         calls = count_calls(monkeypatch)
+        made = count_circuit_objects(monkeypatch)
 
         def no_probe(*args, **kwargs):
             raise AssertionError("run_point must not go through the probe")
 
         monkeypatch.setattr(engine, "probe_expectation", no_probe)
         run_point(triangle(2.0, 0.5), noise=noise)
-        # its weights and angles are formed once, not again by build_circuit
-        assert calls == {"build_circuit": 1, "gibbs_tables": 1, "gibbs_angles": 1}
+        # its weights and angles are formed once; the circuit is a compiled
+        # layout, so no build_circuit, Gate or Circuit
+        assert calls == {"gibbs_tables": 1, "gibbs_angles": 1}
+        assert made == []
 
     def test_one_circuit_per_batch(self, monkeypatch):
         calls = count_calls(monkeypatch)
+        made = count_circuit_objects(monkeypatch)
         spec = SweepSpec(betas=(0.5, 3.0, 11.0), fields=(-1.0, 0.0, 0.5, 2.0))
         run_sweep(spec)
         # one batch of weights and angles; no point's angles on their own
-        assert calls == {"build_circuit": 1, "gibbs_tables": 1, "gibbs_angles": 1}
+        assert calls == {"gibbs_tables": 1, "gibbs_angles": 1}
+        assert made == []
+
+    def test_plan_is_compiled_once_per_shape(self):
+        engine._plan.cache_clear()
+        run_point(triangle(2.0, 0.5))
+        run_point(triangle(0.3, -1.0), noise=NoiseOptions(eta=0.7))
+        run_sweep(SweepSpec(betas=(0.5, 3.0), fields=(-1.0, 0.0, 2.0)))
+        info = engine._plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_batch_angles_reach_the_engine_as_one_array(self, monkeypatch):
         formed, passed = [], []
@@ -243,12 +268,12 @@ class TestSinglePreparation:
             formed.append(_real(*args))
             return formed[-1]
 
-        def run_circuits(circuit, angles, _real=engine.run_circuits):
+        def run_layout(qubits, layout, angles, _real=engine.run_layout):
             passed.append(angles)
-            return _real(circuit, angles)
+            return _real(qubits, layout, angles)
 
         monkeypatch.setattr(synth, "gibbs_angles", gibbs_angles)
-        monkeypatch.setattr(engine, "run_circuits", run_circuits)
+        monkeypatch.setattr(engine, "run_layout", run_layout)
         run_sweep(SweepSpec(betas=(0.5, 3.0), fields=(-1.0, 0.0, 2.0)))
         assert len(passed) == 1 and passed[0] is formed[0]
         assert isinstance(passed[0], np.ndarray) and passed[0].shape == (6, 7)
@@ -292,7 +317,7 @@ class TestSinglePreparation:
         def no_circuit(*args, **kwargs):
             raise AssertionError("no circuit may run for a chain")
 
-        monkeypatch.setattr(engine, "run_circuits", no_circuit)
+        monkeypatch.setattr(engine, "run_layout", no_circuit)
         with pytest.raises(TopologyError):
             run_point(ModelParams(J=1.0, h=0.3, beta=1.0, n=n, topology=CHAIN))
 
