@@ -11,8 +11,9 @@ index tuples of its target's 0 and 1 halves with the controls at 1.  One
 executor, `run_layout`, runs a plan in place through those views over a
 (B, R) array of angles, one row of R rotation angles per register.  The
 register is float64 unless a step is a Y letter, so a preparation circuit,
-whose rotations are real, never goes complex.  `run_circuits` runs a
-`synth.Circuit`'s layout, and `run_circuit` is its B = 1 call.
+whose rotations are real, never goes complex.  Every circuit runs through
+it: the sweep and the probe on `synth.layout`, `run_circuit` on a
+`synth.Circuit`'s layout and its one row of angles.
 
 Readout of an operator U on a prepared state |psi> goes through an
 ancilla probe: the register is driven to (|0>|psi> + |1> U|psi>)/sqrt(2)
@@ -49,8 +50,8 @@ class StateVector:
     def __post_init__(self) -> None:
         if np.ndim(self.amplitudes) != 1:
             raise DomainError("amplitudes must be a vector")
-        # run_circuit hands over a strided row of its batch; the dot
-        # products read one contiguous buffer
+        # a caller's array may be strided (run_circuit's row of one is
+        # not); the dot products read one contiguous buffer
         self.amplitudes = np.ascontiguousarray(self.amplitudes)
         size = len(self.amplitudes)
         if size < 2 or size & (size - 1):
@@ -97,6 +98,8 @@ _UPDATES = {
 def _plan(qubits: int, layout: tuple) -> tuple[type, int, tuple]:
     """The register dtype, the rotation count and the steps of `layout` on
     `qubits` qubits, compiled once per pair."""
+    if qubits < 1:
+        raise DomainError(f"a register needs at least one qubit, got {qubits}")
     steps = []
     for kind, target, controls in layout:
         if kind not in _UPDATES:
@@ -119,7 +122,7 @@ def _plan(qubits: int, layout: tuple) -> tuple[type, int, tuple]:
 
 
 def run_layout(qubits: int, layout: tuple, angles) -> np.ndarray:
-    """Execute a gate layout on |0...0> of `qubits` qubits over (B, R)
+    """Execute a gate layout on |0...0> of `qubits` >= 1 qubits over (B, R)
     angles; (B, 2**qubits) amplitudes, float64 unless a step is a Y letter.
 
     `layout` holds each gate's (kind, target, controls) in order, as
@@ -149,20 +152,9 @@ def run_layout(qubits: int, layout: tuple, angles) -> np.ndarray:
     return amps.reshape(-1, batch).T
 
 
-def run_circuits(circuit: synth.Circuit, angles) -> np.ndarray:
-    """Execute one circuit on |0...0> over (B, R) angles; (B, 2**n) amplitudes.
-
-    The circuit's layout runs through `run_layout`, so the amplitudes are
-    float64 unless a gate is a Y letter.  Row b of `angles` holds one angle
-    per rotation gate, in gate order, for register b; the gates' own angles
-    are not read.  R is the circuit's rotation count.
-    """
-    return run_layout(circuit.qubit_count, circuit.layout, angles)
-
-
 def run_circuit(circuit: synth.Circuit) -> StateVector:
-    """Execute a circuit on |0...0>: the one-row call of run_circuits."""
-    return StateVector(run_circuits(circuit, [circuit.angles])[0])
+    """Execute a circuit on |0...0>: its layout run over its one row of angles."""
+    return StateVector(run_layout(circuit.qubit_count, circuit.layout, [circuit.angles])[0])
 
 
 def direct_expectation(state: StateVector, op: PauliString) -> complex:
@@ -210,27 +202,22 @@ def probe_expectation(
 ) -> ProbeReadout:
     """Measure a Pauli string on the prepared state via the probe qubit.
 
-    Synthesises the preparation circuit with the probe prepended, applies
-    the operator controlled on the probe, and reads <U> from the probe
-    coherence.  With `shots` set, the value is replaced by its
-    finite-sample estimate from `sample_shots`.
+    Runs the preparation layout with the probe prepended, then each
+    non-identity letter of the operator controlled on the probe, and reads
+    <U> from the probe coherence.  With `shots` set, the value is replaced
+    by its finite-sample estimate from `sample_shots`.
     """
     if op.num_qubits != params.n:
         raise DomainError(
             f"operator acts on {op.num_qubits} qubits, model has {params.n}"
         )
-    circuit = synth.build_circuit(params, include_probe=True)
-    gates = list(circuit.gates)
-    for site, letter in enumerate(op.letters):
-        if letter != "I":
-            gates.append(
-                synth.Gate(kind="pauli", target=site + 1, controls=(0,), letter=letter)
-            )
-    state = run_circuit(
-        synth.Circuit(qubit_count=circuit.qubit_count, gates=tuple(gates))
+    paulis = tuple(
+        (letter, site + 1, (0,)) for site, letter in enumerate(op.letters) if letter != "I"
     )
+    steps = synth.layout(params.topology, params.n, True) + paulis
+    amps = run_layout(params.n + 1, steps, [synth.rotation_angles(params)])[0]
     half = 1 << params.n
-    value = 2.0 * complex(np.vdot(state.amplitudes[:half], state.amplitudes[half:]))
+    value = 2.0 * complex(np.vdot(amps[:half], amps[half:]))
     if abs(value) > 1.0 + 1e-10:
         raise NumericError(f"probe coherence {value!r} exceeds unit magnitude")
     if shots is not None:

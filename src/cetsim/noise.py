@@ -180,6 +180,11 @@ class DecayProfile:
             raise DomainError(f"T2 must be > 0, got {self.t2}")
         if self.t1 is not None and not self.t1 > 0.0:
             raise DomainError(f"T1 must be > 0, got {self.t1}")
+        for name, time in (("T2", self.t2), ("T1", self.t1)):
+            if time is not None and math.isnan(self.tau / time):  # inf / inf
+                raise DomainError(
+                    f"decay rate tau/{name} is undefined for tau={self.tau} and {name}={time}"
+                )
 
     @property
     def rate(self) -> float:

@@ -164,7 +164,7 @@ class Circuit:
 
     @property
     def angles(self) -> list[float]:
-        """The rotation gates' angles in gate order: one row of engine.run_circuits."""
+        """The rotation gates' angles in gate order: the row engine.run_layout takes."""
         return [gate.theta for gate in self.gates if gate.kind == "rot"]
 
     @property
@@ -187,12 +187,13 @@ def rotation_angles(params: model.ModelParams) -> list[float]:
 
 @lru_cache(maxsize=64)
 def layout(topology: str, n: int, probe: bool) -> tuple[tuple[str, int, tuple[int, ...]], ...]:
-    """("rot", target, controls) of each rotation of a preparation circuit, in
-    the order of gibbs_angles, with the spins on qubits 0, 1, ... or, with
-    `probe`, 1, 2, ...: per site, one for each subset of its window, ordered
-    by a mask whose lowest bit is the farthest predecessor."""
+    """(kind, target, controls) of each step of a preparation circuit: with
+    `probe`, the probe's ("h", 0, ()) and the spins on qubits 1, 2, ..., else
+    on 0, 1, ...; then each rotation in the order of gibbs_angles: per site,
+    one per subset of its window, by a mask whose lowest bit is the farthest
+    predecessor."""
     off = 1 if probe else 0
-    steps = []
+    steps = [("h", 0, ())] if probe else []
     for site, k in enumerate(_windows(topology, n)):
         controls = [()]
         for qubit in range(off + site - k, off + site):
@@ -202,22 +203,21 @@ def layout(topology: str, n: int, probe: bool) -> tuple[tuple[str, int, tuple[in
 
 
 def build_circuit(params: model.ModelParams, include_probe: bool = False) -> Circuit:
-    """Preparation circuit of a triangle or an open chain: the gates of
-    `layout` with the point's `rotation_angles`.
+    """Preparation circuit of a triangle or an open chain: the steps of
+    `layout`, each rotation with its angle from `rotation_angles`.
 
     Qubits are the spins in order; with include_probe an extra qubit 0
     is prepended in (|0> + |1>)/sqrt(2) and the spins shift up by one.
     """
-    off = 1 if include_probe else 0
-    steps = layout(params.topology, params.n, bool(include_probe))
-    gates = [Gate(kind="h", target=0)] if include_probe else []
-    gates += [
-        Gate(kind=kind, target=target, controls=controls, theta=theta)
-        for (kind, target, controls), theta in zip(steps, rotation_angles(params))
-    ]
+    thetas = iter(rotation_angles(params))
+    gates = tuple(
+        Gate(kind=kind, target=target, controls=controls,
+             theta=next(thetas) if kind == "rot" else None)
+        for kind, target, controls in layout(params.topology, params.n, bool(include_probe))
+    )
     return Circuit(
-        qubit_count=params.n + off,
-        gates=tuple(gates),
+        qubit_count=params.n + (1 if include_probe else 0),
+        gates=gates,
         params=params,
         include_probe=include_probe,
     )

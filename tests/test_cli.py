@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -234,6 +235,17 @@ class TestPoint:
         )
         assert code == cli.EXIT_USAGE
         assert "decay table" in err
+
+    @pytest.mark.parametrize("recover", [[], ["--recover", "auto"]], ids=["none", "auto"])
+    def test_undefined_decay_rate_is_usage_error(self, capsys, tmp_path, recover):
+        path = tmp_path / "decay.json"
+        path.write_text(json.dumps({**DEFAULT_DURATIONS, "Z1Z2Z3": math.inf, "t2": math.inf}))
+        code, _, err = run_cli(
+            ["point", "--beta", "1", "--h", "0", "--decay-profile", str(path), *recover],
+            capsys,
+        )
+        assert code == cli.EXIT_USAGE
+        assert "tau/T2 is undefined for tau=inf and T2=inf" in err
 
     @pytest.mark.parametrize(
         "taus",

@@ -8,7 +8,6 @@ from cetsim.engine import (
     direct_expectation,
     probe_expectation,
     run_circuit,
-    run_circuits,
     run_layout,
     sample_shots,
 )
@@ -143,8 +142,9 @@ class TestRunCircuits:
     @staticmethod
     def assert_rows_equal_single_runs(circuits, angles):
         # one circuit, the first, and each point's own angle row
-        batch = run_circuits(circuits[0], angles)
-        assert batch.shape == (len(circuits), 2 ** circuits[0].qubit_count)
+        first = circuits[0]
+        batch = run_layout(first.qubit_count, first.layout, angles)
+        assert batch.shape == (len(circuits), 2 ** first.qubit_count)
         for row, circuit in zip(batch, circuits):
             assert row.tobytes() == run_circuit(circuit).amplitudes.tobytes()
 
@@ -183,11 +183,11 @@ class TestRunCircuits:
         row = circuit.angles
         for angles in ([row[:-1]], [row + [0.1]], [row, row[:-1]], [row[:-1], row], []):
             with pytest.raises(DomainError):
-                run_circuits(circuit, angles)
+                run_layout(circuit.qubit_count, circuit.layout, angles)
         rows, r = np.array([row, row]), len(row)
         for shape in ((r,), (0, r), (2, r + 1), (2, r, 1)):
             with pytest.raises(DomainError):
-                run_circuits(circuit, np.resize(rows, shape))
+                run_layout(circuit.qubit_count, circuit.layout, np.resize(rows, shape))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -202,35 +202,38 @@ class TestRunCircuits:
         angles = np.array([circuit.angles] * 3)
         angles[1, 3] = angles[2, 0] = bad
         with pytest.raises(DomainError, match=message):
-            run_circuits(circuit, angles)
+            run_layout(circuit.qubit_count, circuit.layout, angles)
         with pytest.raises(DomainError, match="angle 0 of row 0"):
-            run_circuits(circuit, [[math.nan] * len(circuit.angles)])
+            run_layout(circuit.qubit_count, circuit.layout, [[math.nan] * len(circuit.angles)])
 
     @pytest.mark.parametrize("letters, dtype", [("XIZ", np.float64), ("ZYI", np.complex128)])
     def test_register_goes_complex_only_for_a_y_letter(self, letters, dtype):
         params = ModelParams(J=1.0, h=0.5, beta=1.0)
         assert run_circuit(build_circuit(params)).amplitudes.dtype == np.float64
         circuit = probe_circuit(params, letters)
-        assert run_circuits(circuit, [circuit.angles]).dtype == dtype
+        assert run_layout(circuit.qubit_count, circuit.layout, [circuit.angles]).dtype == dtype
 
     @pytest.mark.parametrize(
-        "layout",
-        [(("rot", 2, ()),), (("rot", -1, ()),), (("rot", 0, (2,)),), (("rot", 0, (0,)),),
-         (("T", 0, ()),)],
+        "qubits, layout",
+        [(2, (("rot", 2, ()),)), (2, (("rot", -1, ()),)), (2, (("rot", 0, (2,)),)),
+         (2, (("rot", 0, (0,)),)), (2, (("T", 0, ()),)), (0, ()), (-1, ())],
         ids=["target-is-batch", "negative-target", "control-is-batch", "target-is-control",
-             "unknown-kind"],
+             "unknown-kind", "no-qubits", "negative-qubits"],
     )
-    def test_malformed_layout_is_a_domain_error(self, layout):
-        # two rows: an index into the batch axis would run, mixing registers
+    def test_malformed_layout_is_a_domain_error(self, qubits, layout):
+        # two rows: an index into the batch axis would run, mixing registers;
+        # a register of no qubits would run as one amplitude per row
+        rotations = [kind for kind, _, _ in layout].count("rot")
         with pytest.raises(DomainError):
-            run_layout(2, layout, [[0.5], [0.7]])
+            run_layout(qubits, layout, [[0.5] * rotations, [0.7] * rotations])
 
     def test_array_and_list_rows_give_the_same_bytes(self):
         params = [ModelParams(J=1.0, h=h, beta=b) for b in (0.3, 4.0) for h in (-1, 0.6)]
         angles = np.array([rotation_angles(p) for p in params])
         circuit = build_circuit(params[0])
-        as_array = run_circuits(circuit, angles)
-        assert as_array.tobytes() == run_circuits(circuit, angles.tolist()).tobytes()
+        as_array = run_layout(circuit.qubit_count, circuit.layout, angles)
+        as_list = run_layout(circuit.qubit_count, circuit.layout, angles.tolist())
+        assert as_array.tobytes() == as_list.tobytes()
 
 
 class TestStateVector:

@@ -224,6 +224,19 @@ class TestDecay:
         with pytest.raises(DomainError):
             DecayProfile(tau=0.1, t2=1.0, t1=-1.0)
 
+    @pytest.mark.parametrize(
+        "profile, name",
+        [({"tau": math.inf, "t2": math.inf}, "T2"),
+         ({"tau": math.inf, "t2": 1.0, "t1": math.inf}, "T1")],
+        ids=["tau-over-t2", "tau-over-t1"],
+    )
+    def test_undefined_rate_is_a_domain_error(self, profile, name):
+        # inf / inf: the rate and the factor would both be NaN
+        with pytest.raises(DomainError, match=f"tau/{name} is undefined for tau=inf"):
+            DecayProfile(**profile)
+        # an infinite duration over a finite time decays completely
+        assert DecayProfile(tau=math.inf, t2=1.0).factor == 0.0
+
     def test_default_table_covers_standard_set(self):
         table = default_decay_table()
         assert set(table) == set(DEFAULT_DURATIONS)

@@ -1,4 +1,7 @@
 import ast
+import functools
+import importlib
+import re
 import types
 from pathlib import Path
 
@@ -91,3 +94,38 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(block[: block.index("```")], "README.md", "exec"), {})
     assert (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_readme_module_map_names_exist():
+    # every backticked name in the module map, bare or called, is a module
+    # of the package or an attribute of one or of a class defined in one; a
+    # dotted name is resolved when its first part is a module
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("Module map:\n\n") :].split("\n\n")[1]
+    modules = {
+        path.stem: importlib.import_module(f"cetsim.{path.stem}")
+        for path in PACKAGE.glob("*.py")
+        if path.stem not in ("__init__", "__main__")
+    }
+    known = set(modules)
+    for module in modules.values():
+        known.update(vars(module))
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                known.update(dir(value), getattr(value, "__dataclass_fields__", ()))
+    spans = re.findall(r"`([^`]+)`", section)
+    missing = []
+    for span in spans:
+        name = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", span)
+        if name is None:
+            continue
+        first, *rest = name[1].split(".")
+        if not rest and first not in known:
+            missing.append(span)
+        elif rest and first in modules:
+            try:
+                functools.reduce(getattr, rest, modules[first])
+            except AttributeError:
+                missing.append(span)
+    assert missing == []
+    assert set(modules) <= set(spans)  # one entry per module

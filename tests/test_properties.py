@@ -12,7 +12,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cetsim import reconstruct
-from cetsim.engine import run_circuit, run_circuits, run_layout
+from cetsim.engine import probe_expectation, run_circuit, run_layout
 from cetsim.errors import DomainError
 from cetsim.model import (
     CHAIN,
@@ -26,7 +26,8 @@ from cetsim.noise import DecayProfile
 from cetsim.pauli import PauliString
 from cetsim.reconstruct import LABELS
 from cetsim.sweep import NoiseOptions, SweepSpec, run_point, run_sweep
-from cetsim.synth import Circuit, Gate, build_circuit, gibbs_angles, layout
+from cetsim.synth import build_circuit, gibbs_angles, layout
+from test_engine import probe_circuit
 
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -123,18 +124,29 @@ class TestCompiledLayoutEqualsCircuit:
     @given(_points(cluster=st.one_of(st.none(), st.integers(3, 9))), st.data())
     def test_probe_circuits_apply_the_pauli_string(self, params, data):
         letters = data.draw(st.permutations("XYZ" + "I" * (params.n - 3)))
-        prep = build_circuit(params, include_probe=True)
-        paulis = tuple(
-            Gate(kind="pauli", target=site + 1, controls=(0,), letter=letter)
-            for site, letter in enumerate(letters) if letter != "I"
-        )
-        circuit = Circuit(qubit_count=prep.qubit_count, gates=prep.gates + paulis)
-        amps = run_circuits(circuit, [circuit.angles])[0] * math.sqrt(2.0)
+        circuit = probe_circuit(params, letters)
+        amps = run_layout(circuit.qubit_count, circuit.layout, [circuit.angles])[0]
+        amps = amps * math.sqrt(2.0)
         psi = run_circuit(build_circuit(params)).amplitudes
         half = 1 << params.n
         # criterion 05's tolerance: |0>|psi> + |1>P|psi>, over sqrt(2)
         assert np.abs(amps[:half] - psi).max() < 1e-10
         assert np.abs(amps[half:] - PauliString(tuple(letters)).apply(psi)).max() < 1e-10
+
+
+class TestProbeEqualsGateCircuit:
+    @_SETTINGS
+    @given(_points(cluster=st.one_of(st.none(), st.integers(1, 8))), st.data())
+    def test_probe_value_is_the_gate_circuits_coherence(self, params, data):
+        # the probe's layout run against the circuit built gate by gate:
+        # the preparation with the probe, then one Pauli Gate per letter
+        letters = data.draw(st.lists(st.sampled_from("IXYZ"), min_size=params.n,
+                                     max_size=params.n))
+        amps = run_circuit(probe_circuit(params, letters)).amplitudes
+        half = 1 << params.n
+        value = 2.0 * complex(np.vdot(amps[:half], amps[half:]))
+        readout = probe_expectation(params, PauliString(tuple(letters)))
+        assert np.array(readout.value).tobytes() == np.array(value).tobytes()
 
 
 class TestSignsEqualIndexBits:

@@ -312,6 +312,14 @@ class TestSinglePreparation:
                         )
                         assert abs(ms.value(label) - probe.value) <= 1e-12
 
+    def test_probe_builds_no_circuit_objects(self, monkeypatch):
+        made = count_circuit_objects(monkeypatch)
+        for params, label in ((triangle(2.0, 0.5), "X1Y2Z3"),
+                              (ModelParams(J=1.0, h=0.3, beta=1.0, n=4, topology=CHAIN),
+                               "Z2X4")):
+            engine.probe_expectation(params, PauliString.parse(label, params.n))
+        assert made == []
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_chain_is_rejected_before_compute(self, n, monkeypatch):
         def no_circuit(*args, **kwargs):

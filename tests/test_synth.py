@@ -18,6 +18,7 @@ from cetsim.synth import (
     cets_angles,
     export_circuit,
     gibbs_angles,
+    layout,
     load_circuit,
     parse_circuit,
     rotation_angles,
@@ -224,6 +225,27 @@ class TestChainCircuit:
         assert [(g.target, g.controls) for g in gates] == [
             (1, ()), (2, ()), (2, (1,)), (3, ()), (3, (2,)), (4, ()), (4, (3,)),
         ]
+
+    @pytest.mark.parametrize("topology, n", [(model.TRIANGLE, 3), (CHAIN, 1), (CHAIN, 6)])
+    def test_probe_layout_starts_with_the_hadamard(self, topology, n):
+        assert layout(topology, n, True)[0] == ("h", 0, ())
+        assert layout(topology, n, True)[1:] == tuple(
+            ("rot", target + 1, tuple(c + 1 for c in controls))
+            for _, target, controls in layout(topology, n, False)
+        )
+
+    @pytest.mark.parametrize("point", [params(0.8, -0.4),
+                                       ModelParams(J=-0.6, h=1.1, beta=3.0, n=5,
+                                                   topology=CHAIN)])
+    def test_probe_circuit_is_the_hadamard_then_the_rotations(self, point):
+        steps = layout(point.topology, point.n, True)[1:]
+        rotations = tuple(
+            Gate(kind=kind, target=target, controls=controls, theta=theta)
+            for (kind, target, controls), theta in zip(steps, rotation_angles(point),
+                                                       strict=True)
+        )
+        gates = build_circuit(point, include_probe=True).gates
+        assert gates == (Gate(kind="h", target=0),) + rotations
 
 
 def fraction_weights(params):
